@@ -246,42 +246,6 @@ void BM_RecomputeLogits(benchmark::State& state) {
 }
 BENCHMARK(BM_RecomputeLogits)->ArgsProduct({{1, 2, 4, 8}});
 
-/// One compiled batch-head dispatch answering kMaxBatchRows predictions
-/// against the cached hidden state: the batch-serving alternative to a full
-/// RecomputeLogits when only specific rows are requested. The relative_gate
-/// in BENCH_serving.json holds this against BM_RecomputeLogits/1, and the
-/// alloc gate pins the steady state at 0 tensor buffers (the reused
-/// [kMaxBatchRows, C] output lives in the session).
-void BM_BatchHeadPredict(benchmark::State& state) {
-  ThreadCountScope threads(state.range(0));
-  InferenceSession session(BenchFrozen());
-  if (session.batch_head_graph() == nullptr) {
-    state.SkipWithError("batch head did not compile");
-    return;
-  }
-  std::vector<int64_t> nodes(InferenceSession::kMaxBatchRows);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    nodes[i] = static_cast<int64_t>(i * 13) % session.num_targets();
-  }
-  {
-    StatusOr<std::vector<InferenceSession::Prediction>> warm =
-        session.PredictBatch(nodes);
-    if (!warm.ok()) {
-      state.SkipWithError(warm.status().message().c_str());
-      return;
-    }
-  }
-  AllocCounterScope allocs(state);
-  for (auto _ : state) {
-    StatusOr<std::vector<InferenceSession::Prediction>> batch =
-        session.PredictBatch(nodes);
-    benchmark::DoNotOptimize(batch);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nodes.size()));
-}
-BENCHMARK(BM_BatchHeadPredict)->ArgsProduct({{1, 4}});
-
 /// BenchFrozen() upgraded to a v2 artifact: H0 really is the completion
 /// module's discrete-op output and the completion parameters ride along, so
 /// the streaming-mutation overlay (DESIGN.md §12) can re-run completion on
@@ -365,47 +329,6 @@ void BM_MutablePredictClean(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MutablePredictClean)->ArgsProduct({{1}});
-
-/// The issue's acceptance scenario: a mutation has landed and been flushed,
-/// and the server now needs fresh answers for a 64-row batch. The overlay's
-/// lazily compiled batch head serves them straight off the hidden cache —
-/// the number to hold against BM_RecomputeLogits (refreshing every row to
-/// answer the same 64).
-void BM_MutableBatchPredict(benchmark::State& state) {
-  ThreadCountScope threads(state.range(0));
-  auto base = std::make_shared<InferenceSession>(BenchFrozenV2());
-  MutableSession::Options options;  // staleness 0: Apply() flushes inline
-  MutableSession session(base, options);
-  Mutation mutation;
-  mutation.kind = Mutation::Kind::kAddNode;
-  mutation.node_type = "author";
-  StatusOr<MutationResult> applied = session.Apply(mutation);
-  if (!applied.ok()) {
-    state.SkipWithError(applied.status().message().c_str());
-    return;
-  }
-  std::vector<int64_t> nodes(InferenceSession::kMaxBatchRows);
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    nodes[i] = static_cast<int64_t>(i * 13) % session.num_targets();
-  }
-  {
-    StatusOr<std::vector<InferenceSession::Prediction>> warm =
-        session.PredictBatch(nodes);  // compiles the overlay batch head
-    if (!warm.ok()) {
-      state.SkipWithError(warm.status().message().c_str());
-      return;
-    }
-  }
-  AllocCounterScope allocs(state);
-  for (auto _ : state) {
-    StatusOr<std::vector<InferenceSession::Prediction>> batch =
-        session.PredictBatch(nodes);
-    benchmark::DoNotOptimize(batch);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(nodes.size()));
-}
-BENCHMARK(BM_MutableBatchPredict)->ArgsProduct({{1}});
 
 /// Artifact footprint per payload encoding. Not a timing benchmark: the
 /// counters carry the hardware-independent size signal that

@@ -76,7 +76,6 @@ const std::vector<Flags::Spec>& FlagTable() {
       {"socket", Type::kString},
       {"port", Type::kInt},
       {"max_batch", Type::kInt},
-      {"batch_timeout_ms", Type::kInt},
       {"max_queue", Type::kInt},
       {"max_line_bytes", Type::kInt},
       {"rate_limit_rps", Type::kDouble},
@@ -107,8 +106,9 @@ void PrintUsage() {
   std::printf(
       "usage: autoac_serve (--model=PATH | --models=NAME=PATH[,..] |\n"
       "                     --model_dir=DIR) [--socket=PATH | --port=N]\n"
-      "  [--max_batch=16]        requests per inference batch\n"
-      "  [--batch_timeout_ms=5]  max wait before a partial batch fires\n"
+      "  [--max_batch=16]        most requests per batch; the batcher\n"
+      "                          wakes on the first queued request and\n"
+      "                          drains what is waiting, never on a timer\n"
       "  [--max_queue=1024]      bounded queue; overload evicts from the\n"
       "                          connection with the most queued requests\n"
       "  [--max_line_bytes=65536] request-line bound; longer drops the\n"
@@ -125,8 +125,9 @@ void PrintUsage() {
       "  [--metrics_out=PATH]    JSONL telemetry (latency, batch occupancy)\n"
       "  [--no_compile]          skip the graph compiler; run every forward\n"
       "                          through the interpreted tape-free path\n"
-      "  [--dump_ir]             print each compiled model's IR + arena\n"
-      "                          plan after (re)load\n"
+      "  [--dump_ir]             print each compiled model's forward IR\n"
+      "                          (classifier head included) + arena plan\n"
+      "                          after (re)load\n"
       "  [--enable_mutations]    accept streaming graph deltas (\"op\":\n"
       "                          add_node / add_edge / remove_edge) and\n"
       "                          serve incrementally recomputed answers\n"
@@ -598,8 +599,6 @@ int Run(int argc, char** argv) {
     return 64;
   }
   options.max_batch = flags.GetInt("max_batch", options.max_batch);
-  options.batch_timeout_ms =
-      flags.GetInt("batch_timeout_ms", options.batch_timeout_ms);
   options.max_queue = flags.GetInt("max_queue", options.max_queue);
   options.max_line_bytes =
       flags.GetInt("max_line_bytes", options.max_line_bytes);

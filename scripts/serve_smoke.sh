@@ -7,7 +7,8 @@
 #   2. Load the first artifact again via `autoac_serve` and require the
 #      printed fingerprint to be identical (the artifact is
 #      self-validating: container CRC + content fingerprint).
-#   3. Start the server on a unix socket and fire several concurrent
+#   3. Start the server on a unix socket and require it to use under
+#      10 ms of CPU across 5 idle seconds. Then fire several concurrent
 #      clients at it; every request must get a response line, and the
 #      responses must be identical across clients (same frozen logits).
 #   4. SIGTERM the server and require a cooperative shutdown: exit status
@@ -79,7 +80,7 @@ fi
 
 echo "== server =="
 "${SERVE}" --model="${MODEL}" --socket="${SOCK}" \
-  --max_batch=4 --batch_timeout_ms=2 \
+  --max_batch=4 \
   --metrics_out="${WORK}/serve_metrics.jsonl" \
   >"${WORK}/server.log" 2>&1 &
 SERVER_PID=$!
@@ -102,6 +103,24 @@ grep -q "${fingerprint}" "${WORK}/server.log" || {
   cat "${WORK}/server.log" >&2
   exit 1
 }
+
+echo "== idle CPU =="
+# An idle server must not poll its queue: sum every thread's on-CPU time
+# (the first schedstat field, in ns) across 5 s without traffic. The accept
+# loop's 100 ms poll stays far under the 10 ms bound; a batcher waking on a
+# timer would not.
+server_cpu_ns() {
+  cat /proc/"${SERVER_PID}"/task/*/schedstat | awk '{s += $1} END {printf "%.0f\n", s}'
+}
+cpu_before="$(server_cpu_ns)"
+sleep 5
+cpu_after="$(server_cpu_ns)"
+idle_ms=$(( (cpu_after - cpu_before) / 1000000 ))
+echo "idle server CPU over 5 s: ${idle_ms} ms"
+if [ "${idle_ms}" -gt 10 ]; then
+  echo "FAIL: idle server used ${idle_ms} ms of CPU in 5 s (bound 10 ms)" >&2
+  exit 1
+fi
 
 echo "== ${NUM_CLIENTS} concurrent clients =="
 client_pids=()
@@ -181,7 +200,7 @@ cp "${MODEL}" "${ARTIFACT_A}"
 cp "${MODEL2}" "${ARTIFACT_B}"
 SOCK2="${WORK}/serve2.sock"
 "${SERVE}" --models="a=${ARTIFACT_A},b=${ARTIFACT_B}" --socket="${SOCK2}" \
-  --max_batch=4 --batch_timeout_ms=2 \
+  --max_batch=4 \
   >"${WORK}/server2.log" 2>&1 &
 SERVER_PID=$!
 
@@ -316,7 +335,7 @@ EOF
 
 "${SERVE}" --model="${MODEL}" --socket="${SOCK3}" \
   --enable_mutations --mutation_feed="${WORK}/feed-boot.jsonl" \
-  --max_batch=4 --batch_timeout_ms=2 \
+  --max_batch=4 \
   --metrics_out="${WORK}/serve3_metrics.jsonl" \
   >"${WORK}/server3.log" 2>&1 &
 SERVER_PID=$!
@@ -484,7 +503,7 @@ echo "int8 artifact: ${i8_bytes} B vs fp32 ${f32_bytes} B"
 echo "== quantized routing + tolerance diff =="
 SOCK4="${WORK}/serve4.sock"
 "${SERVE}" --models="f32=${MODEL},i8=${MODEL_I8}" --socket="${SOCK4}" \
-  --max_batch=4 --batch_timeout_ms=2 \
+  --max_batch=4 \
   >"${WORK}/server4.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 100); do

@@ -428,7 +428,7 @@ StatusOr<FrozenModel> LoadFrozenModel(const std::string& path) {
   if (quantized) {
     // Keep the classifier weight in stored form too: the compiler's
     // dequantize-on-load pass folds it out of a Dequantize IR node, and the
-    // batch head capture needs the encoded bytes to build that node.
+    // session's forward capture needs the encoded bytes to build that node.
     auto enc_weight = std::make_shared<EncodedTensor>();
     if (!io::ReadEncodedTensor(in, enc_weight.get())) return malformed;
     model.classifier_weight = DecodeTensor(*enc_weight);

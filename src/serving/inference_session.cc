@@ -1,6 +1,5 @@
 #include "serving/inference_session.h"
 
-#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -9,45 +8,6 @@
 #include "tensor/ops.h"
 
 namespace autoac {
-
-namespace {
-
-/// Row ids travel through the batch head as floats; above this the mapping
-/// stops being exact. Graphs this large fall back to per-row lookups.
-constexpr int64_t kMaxExactFloatRow = int64_t{1} << 24;
-
-}  // namespace
-
-StatusOr<compiler::CompiledGraph> CompileBatchHead(const FrozenModel& frozen,
-                                                   int64_t hidden_rows,
-                                                   int64_t max_rows) {
-  if (hidden_rows >= kMaxExactFloatRow) {
-    return Status::Error("batch head unavailable: " +
-                         std::to_string(hidden_rows) +
-                         " rows exceed the float exact-integer range");
-  }
-  ir::Graph graph;
-  {
-    // The dummy zero inputs only fix the shapes the planner specializes to;
-    // Run() rebinds both inputs every call.
-    IrCapture capture;
-    VarPtr hidden = MakeConst(
-        Tensor::Zeros({hidden_rows, frozen.classifier_weight.rows()}));
-    VarPtr ids = MakeConst(Tensor::Zeros({max_rows}));
-    capture.MarkInput(hidden, "hidden");
-    capture.MarkInput(ids, "ids");
-    // Quantized artifacts route the classifier weight through a Dequantize
-    // node so the dequantize-on-load pass folds the decoded matrix into the
-    // plan; f32 artifacts bind the stored matrix directly.
-    VarPtr weight = frozen.encoded_classifier_weight != nullptr
-                        ? Dequantize(frozen.encoded_classifier_weight)
-                        : MakeConst(frozen.classifier_weight);
-    VarPtr logits = AddBias(MatMul(GatherRowsDynamic(hidden, ids), weight),
-                            MakeConst(frozen.classifier_bias));
-    graph = capture.Finish(logits);
-  }
-  return compiler::CompiledGraph::Compile(std::move(graph));
-}
 
 InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
     : frozen_(std::move(frozen)), rng_(frozen_.seed) {
@@ -86,48 +46,28 @@ InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
 }
 
 void InferenceSession::TryCompile() {
-  // The forward splits into two captures — GNN body (h0 -> hidden) and
-  // classifier head (hidden -> logits) — so RecomputeLogits can materialize
-  // the hidden features the batch head gathers from. The float ops are the
-  // same as the single-capture forward in the same order, so the split
-  // changes nothing bitwise.
-  ir::Graph body_graph;
+  ir::Graph graph;
   {
     // The capture executes eagerly while recording, so this *is* the first
-    // hidden/logits computation — a failed compile costs nothing extra.
+    // logits computation — a failed compile costs nothing extra.
     IrCapture capture;
     capture.MarkInput(h0_, "h0");
     VarPtr h = model_->Forward(ctx_, h0_, /*training=*/false, rng_);
-    body_graph = capture.Finish(h);
-    hidden_ = h->value;
-  }
-  ir::Graph head_graph;
-  {
-    IrCapture capture;
-    VarPtr head_input = MakeConst(hidden_);
-    capture.MarkInput(head_input, "hidden");
-    VarPtr logits = AddBias(MatMul(head_input, cls_weight_), cls_bias_);
-    head_graph = capture.Finish(logits);
+    // Quantized artifacts route the classifier weight through a Dequantize
+    // node, which the dequantize-on-load pass folds into the plan; decoding
+    // is deterministic, so the values equal cls_weight_ bit for bit.
+    VarPtr weight = frozen_.encoded_classifier_weight != nullptr
+                        ? Dequantize(frozen_.encoded_classifier_weight)
+                        : cls_weight_;
+    VarPtr logits = AddBias(MatMul(h, weight), cls_bias_);
+    graph = capture.Finish(logits);
     logits_ = std::move(logits->value);
   }
-  StatusOr<compiler::CompiledGraph> body =
-      compiler::CompiledGraph::Compile(std::move(body_graph));
-  if (!body.ok()) return;  // keep the interpreted path
-  StatusOr<compiler::CompiledGraph> head =
-      compiler::CompiledGraph::Compile(std::move(head_graph));
-  if (!head.ok()) return;
-  compiled_body_ = std::make_unique<compiler::CompiledGraph>(body.TakeValue());
-  compiled_head_ = std::make_unique<compiler::CompiledGraph>(head.TakeValue());
+  StatusOr<compiler::CompiledGraph> compiled =
+      compiler::CompiledGraph::Compile(std::move(graph));
+  if (!compiled.ok()) return;  // keep the interpreted path
+  compiled_ = std::make_unique<compiler::CompiledGraph>(compiled.TakeValue());
   compiled_inputs_ = {&frozen_.h0};
-  head_inputs_ = {&hidden_};
-  StatusOr<compiler::CompiledGraph> batch =
-      CompileBatchHead(frozen_, hidden_.rows(), kMaxBatchRows);
-  if (batch.ok()) {
-    compiled_batch_head_ =
-        std::make_unique<compiler::CompiledGraph>(batch.TakeValue());
-    batch_ids_ = Tensor::Zeros({kMaxBatchRows});
-    batch_inputs_ = {&hidden_, &batch_ids_};
-  }
   // The compiled kernels pin the weights, index lists, and adjacency
   // matrices they reference (via Value::leaf and captured shared_ptrs), so
   // the rebuilt autograd model, the duplicated leaf constants, and the
@@ -140,11 +80,10 @@ void InferenceSession::TryCompile() {
 }
 
 void InferenceSession::RecomputeLogits() {
-  if (compiled_body_ != nullptr) {
-    // Replays the compiled plans into the preplanned arenas; after the first
+  if (compiled_ != nullptr) {
+    // Replays the compiled plan into the preplanned arena; after the first
     // call this performs zero heap tensor allocations.
-    compiled_body_->Run(compiled_inputs_, &hidden_);
-    compiled_head_->Run(head_inputs_, &logits_);
+    compiled_->Run(compiled_inputs_, &logits_);
     return;
   }
   // Tape-free: no closure is allocated, no parent chain retained, and every
@@ -154,7 +93,6 @@ void InferenceSession::RecomputeLogits() {
   NoGradGuard no_grad;
   VarPtr h = model_->Forward(ctx_, h0_, /*training=*/false, rng_);
   VarPtr logits = AddBias(MatMul(h, cls_weight_), cls_bias_);
-  hidden_ = h->value;
   logits_ = std::move(logits->value);
 }
 
@@ -181,51 +119,13 @@ StatusOr<InferenceSession::Prediction> InferenceSession::Predict(
 }
 
 StatusOr<std::vector<InferenceSession::Prediction>>
-InferenceSession::PredictBatch(const std::vector<int64_t>& nodes) {
-  // Any bad id fails the whole request before any compute, so callers never
-  // see partial results.
+InferenceSession::PredictBatch(const std::vector<int64_t>& nodes) const {
   for (int64_t node : nodes) {
-    if (node < 0 || node >= num_targets()) {
-      return Status::Error("node id " + std::to_string(node) +
-                           " out of range [0, " +
-                           std::to_string(num_targets()) + ")");
-    }
+    if (node < 0 || node >= num_targets()) return Predict(node).status();
   }
   std::vector<Prediction> out;
   out.reserve(nodes.size());
-  if (compiled_batch_head_ == nullptr) {
-    for (int64_t node : nodes) {
-      StatusOr<Prediction> p = Predict(node);
-      if (!p.ok()) return p.status();
-      out.push_back(p.value());
-    }
-    return out;
-  }
-  float* ids = batch_ids_.data();
-  for (size_t begin = 0; begin < nodes.size(); begin += kMaxBatchRows) {
-    size_t count = std::min<size_t>(kMaxBatchRows, nodes.size() - begin);
-    for (size_t i = 0; i < count; ++i) {
-      ids[i] = static_cast<float>(target_ids_[nodes[begin + i]]);
-    }
-    // Pad short batches with row 0; the padded outputs are discarded.
-    std::fill(ids + count, ids + kMaxBatchRows, 0.0f);
-    compiled_batch_head_->Run(batch_inputs_, &batch_logits_);
-    const int64_t classes = batch_logits_.cols();
-    for (size_t i = 0; i < count; ++i) {
-      const float* row = batch_logits_.data() + i * classes;
-      Prediction prediction;
-      prediction.node = nodes[begin + i];
-      prediction.label = 0;
-      prediction.score = row[0];
-      for (int64_t c = 1; c < classes; ++c) {
-        if (row[c] > prediction.score) {
-          prediction.score = row[c];
-          prediction.label = c;
-        }
-      }
-      out.push_back(prediction);
-    }
-  }
+  for (int64_t node : nodes) out.push_back(Predict(node).value());
   return out;
 }
 

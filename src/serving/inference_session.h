@@ -68,21 +68,11 @@ class InferenceSession {
   /// response, not a crash).
   StatusOr<Prediction> Predict(int64_t node) const;
 
-  /// Rows per compiled batch-head execution; longer requests chunk. Also the
-  /// batch size the CI benchmark gate compares against RecomputeLogits.
-  static constexpr int64_t kMaxBatchRows = 64;
-
-  /// Batch prediction (DESIGN.md §14): gathers the requested rows' hidden
-  /// features and runs the head-only compiled batch forward
-  /// ([B, hidden_dim] @ classifier) instead of reading the full-graph
-  /// logits table. Answers are bitwise identical to per-row Predict at
-  /// every thread count — the batch head's fused kernel accumulates each
-  /// output row exactly like the full logits pass does. Any out-of-range id
-  /// fails the whole request before any compute. Sessions without a
-  /// compiled batch head (interpreted mode, or graphs whose row ids exceed
-  /// the float exact-integer range) fall back to per-row lookups.
+  /// Predictions for several target-local ids, in order. Every id is
+  /// checked first, so any out-of-range id fails the whole request before
+  /// any row is read; each answer is then exactly Predict's.
   StatusOr<std::vector<Prediction>> PredictBatch(
-      const std::vector<int64_t>& nodes);
+      const std::vector<int64_t>& nodes) const;
 
   /// Re-runs the forward into the existing logits buffer — the compiled
   /// plan when one exists, the interpreted tape-free forward otherwise.
@@ -96,28 +86,18 @@ class InferenceSession {
   int64_t num_classes() const { return frozen_.num_classes; }
   /// Full cached logits [num_nodes, num_classes] (row = global node id).
   const Tensor& logits() const { return logits_; }
-  /// Cached GNN hidden features [num_nodes, hidden_dim] (row = global node
-  /// id) — the support features the head-only batch forward gathers from.
-  const Tensor& hidden() const { return hidden_; }
   const FrozenModel& frozen() const { return frozen_; }
 
-  /// The compiled GNN body (h0 -> hidden), or nullptr when running
-  /// interpreted (compile disabled or the capture was not compilable).
-  /// Exposed for --dump_ir and the compiler tests.
+  /// The compiled forward (h0 -> logits, classifier head included), or
+  /// nullptr when running interpreted (compile disabled or the capture was
+  /// not compilable). Exposed for --dump_ir and the compiler tests.
   const compiler::CompiledGraph* compiled_graph() const {
-    return compiled_body_.get();
-  }
-  /// The compiled head-only batch forward ({hidden, ids} -> [B, classes]),
-  /// or nullptr when unavailable. Exposed for tests.
-  const compiler::CompiledGraph* batch_head_graph() const {
-    return compiled_batch_head_.get();
+    return compiled_.get();
   }
 
  private:
-  /// Captures the forward in two stages — GNN body (h0 -> hidden), then
-  /// classifier head (hidden -> logits) — runs the pass pipeline + planner
-  /// on each, and installs the compiled plans plus the head-only batch
-  /// forward. The captures' eager execution doubles as the first hidden /
+  /// Captures the forward, runs the pass pipeline + planner, and installs
+  /// the compiled plan. The capture's eager execution doubles as the first
   /// logits computation. Leaves the interpreted state untouched on failure.
   void TryCompile();
 
@@ -127,34 +107,13 @@ class InferenceSession {
   VarPtr h0_;            // const leaf holding the materialized H0
   VarPtr cls_weight_;    // const leaves of the classification head
   VarPtr cls_bias_;
-  Tensor hidden_;        // reused activation buffers
-  Tensor logits_;
+  Tensor logits_;        // reused activation buffer
   std::vector<int64_t> target_ids_;  // global id per target-local id
-  std::unique_ptr<compiler::CompiledGraph> compiled_body_;
-  std::unique_ptr<compiler::CompiledGraph> compiled_head_;
-  std::unique_ptr<compiler::CompiledGraph> compiled_batch_head_;
+  std::unique_ptr<compiler::CompiledGraph> compiled_;
   std::vector<const Tensor*> compiled_inputs_;  // bound once: {&frozen_.h0}
-  std::vector<const Tensor*> head_inputs_;      // {&hidden_}
-  std::vector<const Tensor*> batch_inputs_;     // {&hidden_, &batch_ids_}
-  Tensor batch_ids_;     // [kMaxBatchRows] request rows, padded with row 0
-  Tensor batch_logits_;  // [kMaxBatchRows, num_classes] batch output buffer
   Rng rng_;  // required by Model::Forward's signature; never drawn from
              // (training=false makes dropout an identity)
 };
-
-/// Compiles the head-only batch forward for `frozen`'s classifier over a
-/// hidden-feature matrix with `hidden_rows` rows (DESIGN.md §14): inputs
-/// {hidden [hidden_rows, hidden_dim], ids [max_rows]}, output
-/// [max_rows, num_classes]. The ids input carries row indices as exact
-/// integer floats, so compilation is refused once hidden_rows reaches 2^24.
-/// For quantized artifacts the classifier weight enters the capture as a
-/// Dequantize node, which the pass pipeline folds at compile time.
-/// CompiledGraph::Run checks input shapes strictly, so a session whose
-/// hidden overlay grows (MutableSession after add_node) recompiles at the
-/// new row count.
-StatusOr<compiler::CompiledGraph> CompileBatchHead(const FrozenModel& frozen,
-                                                   int64_t hidden_rows,
-                                                   int64_t max_rows);
 
 }  // namespace autoac
 

@@ -44,7 +44,6 @@ MutableSession::MutableSession(std::shared_ptr<InferenceSession> base,
     : base_(std::move(base)), options_(options), graph_(base_->frozen().graph) {
   const FrozenModel& fz = base_->frozen();
   h0_ = fz.h0;               // deep copies: the base session stays pristine
-  hidden_ = base_->hidden();
   logits_ = base_->logits();
   // Receptive depth and partial-path eligibility per architecture. The
   // partial path needs every model output row to depend only on a bounded
@@ -110,7 +109,6 @@ void MutableSession::InsertNodeRow(int64_t pos) {
     t = std::move(grown);
   };
   insert_row(h0_);
-  insert_row(hidden_);
   insert_row(logits_);
   auto shift = [pos](std::unordered_set<int64_t>& ids) {
     std::unordered_set<int64_t> shifted;
@@ -242,92 +240,6 @@ StatusOr<InferenceSession::Prediction> MutableSession::Predict(int64_t node) {
   return prediction;
 }
 
-StatusOr<std::vector<InferenceSession::Prediction>>
-MutableSession::PredictBatch(const std::vector<int64_t>& nodes) {
-  int64_t target = base_->frozen().graph->target_node_type();
-  if (target < 0) {
-    return Status::Error("frozen model has no target node type");
-  }
-  int64_t count = graph_.node_count(target);
-  std::vector<int64_t> globals;
-  globals.reserve(nodes.size());
-  bool any_dirty = false;
-  for (int64_t node : nodes) {
-    if (node < 0 || node >= count) {
-      return Status::Error("node id " + std::to_string(node) +
-                           " out of range [0, " + std::to_string(count) +
-                           ")");
-    }
-    int64_t g = graph_.GlobalId(target, node);
-    globals.push_back(g);
-    any_dirty = any_dirty || dirty_logits_.count(g) != 0;
-  }
-  auto per_row = [&]() -> StatusOr<std::vector<InferenceSession::Prediction>> {
-    std::vector<InferenceSession::Prediction> out;
-    out.reserve(nodes.size());
-    for (int64_t node : nodes) {
-      StatusOr<InferenceSession::Prediction> p = Predict(node);
-      if (!p.ok()) return p.status();
-      out.push_back(p.value());
-    }
-    return out;
-  };
-  if (any_dirty) {
-    MaybeFlushForRead();
-    // Rows may legitimately stay dirty (stale-but-bounded policy). Stale
-    // rows are defined by the logits cache — an added node's row is zeros
-    // there until its first flush, which head(hidden) would not reproduce —
-    // so the whole batch takes the per-row path.
-    for (int64_t g : globals) {
-      if (dirty_logits_.count(g) != 0) return per_row();
-    }
-  }
-  if (!batch_head_failed_ &&
-      (batch_head_ == nullptr || batch_head_rows_ != hidden_.rows())) {
-    StatusOr<compiler::CompiledGraph> compiled = CompileBatchHead(
-        base_->frozen(), hidden_.rows(), InferenceSession::kMaxBatchRows);
-    if (compiled.ok()) {
-      batch_head_ =
-          std::make_unique<compiler::CompiledGraph>(compiled.TakeValue());
-      batch_head_rows_ = hidden_.rows();
-      batch_ids_ = Tensor::Zeros({InferenceSession::kMaxBatchRows});
-      batch_inputs_ = {&hidden_, &batch_ids_};
-    } else {
-      batch_head_failed_ = true;
-    }
-  }
-  if (batch_head_ == nullptr) return per_row();
-  std::vector<InferenceSession::Prediction> out;
-  out.reserve(nodes.size());
-  float* ids = batch_ids_.data();
-  constexpr int64_t kRows = InferenceSession::kMaxBatchRows;
-  for (size_t begin = 0; begin < nodes.size();
-       begin += static_cast<size_t>(kRows)) {
-    size_t chunk = std::min<size_t>(kRows, nodes.size() - begin);
-    for (size_t i = 0; i < chunk; ++i) {
-      ids[i] = static_cast<float>(globals[begin + i]);
-    }
-    std::fill(ids + chunk, ids + kRows, 0.0f);  // pad with row 0; discarded
-    batch_head_->Run(batch_inputs_, &batch_logits_);
-    const int64_t classes = batch_logits_.cols();
-    for (size_t i = 0; i < chunk; ++i) {
-      const float* row = batch_logits_.data() + i * classes;
-      InferenceSession::Prediction prediction;
-      prediction.node = nodes[begin + i];
-      prediction.label = 0;
-      prediction.score = row[0];
-      for (int64_t cls = 1; cls < classes; ++cls) {
-        if (row[cls] > prediction.score) {
-          prediction.score = row[cls];
-          prediction.label = cls;
-        }
-      }
-      out.push_back(prediction);
-    }
-  }
-  return out;
-}
-
 void MutableSession::Flush() {
   if (dirty_logits_.empty() && dirty_h0_.empty()) return;
   std::vector<int64_t> dirty_logits(dirty_logits_.begin(),
@@ -438,12 +350,8 @@ bool MutableSession::TryFlushPartial(const std::vector<int64_t>& dirty_logits,
   VarPtr logits = AddBias(MatMul(h, MakeConst(fz.classifier_weight)),
                           MakeConst(fz.classifier_bias));
   const Tensor& logit_values = logits->value;
-  const Tensor& h_values = h->value;
-  // A logits row and its hidden row go stale together (the head is
-  // row-wise), so dirty_logits is exactly the set of hidden rows to patch.
   for (int64_t g : dirty_logits) {
     CopyRow(logit_values, sub.full_to_sub[g], logits_, g);
-    CopyRow(h_values, sub.full_to_sub[g], hidden_, g);
   }
   for (int64_t g : dirty_h0) {
     CopyRow(h0_values, sub.full_to_sub[g], h0_, g);
@@ -464,7 +372,6 @@ void MutableSession::FlushFull() {
   options.compile = false;  // one-shot forward; compiling buys nothing
   InferenceSession session(refrozen.TakeValue(), options);
   h0_ = session.frozen().h0;
-  hidden_ = session.hidden();
   logits_ = session.logits();
   ++full_recomputes_;
 }

@@ -97,19 +97,6 @@ class MutableSession {
   /// rows follow the staleness policy.
   StatusOr<InferenceSession::Prediction> Predict(int64_t node);
 
-  /// Batch prediction over the live overlay (DESIGN.md §14). If any
-  /// requested row is dirty the staleness policy runs once for the whole
-  /// batch, then the requested rows' hidden features are gathered from the
-  /// maintained hidden overlay and the head-only compiled batch forward
-  /// produces their logits. Bitwise identical to calling Predict per id —
-  /// the overlay keeps `logits_[g] == head(hidden_[g])` row for row, both
-  /// for fresh and stale-but-bounded rows. The batch head is compiled
-  /// lazily and recompiled when add_node grows the overlay (the compiled
-  /// plan is specialized to the hidden row count); graphs beyond the float
-  /// exact-integer id range fall back to per-row lookups.
-  StatusOr<std::vector<InferenceSession::Prediction>> PredictBatch(
-      const std::vector<int64_t>& nodes);
-
   /// Recomputes every dirty row now (partial when possible, full refreeze
   /// otherwise) and clears the frontier. No-op when clean.
   void Flush();
@@ -167,18 +154,7 @@ class MutableSession {
   Options options_;
   MutableGraph graph_;
   Tensor h0_;      // current completed H0 (exact for clean rows)
-  Tensor hidden_;  // current GNN hidden features (exact for clean rows)
   Tensor logits_;  // current logits cache (exact for clean rows)
-  // Head-only batch forward over `hidden_`, compiled lazily at the current
-  // overlay row count (Run checks input shapes strictly, so growth forces a
-  // recompile). `batch_head_failed_` latches a refusal — rows only grow, so
-  // once past the float exact-id range the fallback is permanent.
-  std::unique_ptr<compiler::CompiledGraph> batch_head_;
-  int64_t batch_head_rows_ = -1;
-  bool batch_head_failed_ = false;
-  Tensor batch_ids_;
-  Tensor batch_logits_;
-  std::vector<const Tensor*> batch_inputs_;  // {&hidden_, &batch_ids_}
   int64_t model_hops_ = 0;     // receptive depth of the GNN
   bool partial_capable_ = false;
   bool per_node_params_ = false;  // GATNE: [num_nodes, d] parameter rows

@@ -567,8 +567,20 @@ bool InferenceServer::Stopping() const {
 }
 
 void InferenceServer::Stop() {
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    // Set under mu_: the batcher evaluates its wait predicate holding mu_,
+    // so the flag cannot land between that check and the wait and have the
+    // notify below miss an untimed wait.
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_.store(true, std::memory_order_relaxed);
+  }
   queue_cv_.notify_all();
+}
+
+int64_t InferenceServer::RetryAfterMsLocked() const {
+  int64_t batches_ahead =
+      (queued_total_ + options_.max_batch - 1) / options_.max_batch;
+  return std::max<int64_t>(1, (batches_ahead * last_batch_us_ + 999) / 1000);
 }
 
 void InferenceServer::ReapFinishedReaders() {
@@ -706,17 +718,21 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     }
     if (options_.max_inflight_per_conn > 0) {
       bool over;
+      int64_t retry_after_ms = 0;
       {
         std::lock_guard<std::mutex> lock(mu_);
         over = conn->queued >= options_.max_inflight_per_conn;
-        if (over) ++stats_.inflight_rejected;
+        if (over) {
+          ++stats_.inflight_rejected;
+          retry_after_ms = RetryAfterMsLocked();
+        }
       }
       if (over) {
         WriteLine(conn,
                   FormatServeReject(
                       request.id,
                       "too many requests in flight on this connection",
-                      "inflight_limit", options_.batch_timeout_ms));
+                      "inflight_limit", retry_after_ms));
         continue;
       }
     }
@@ -764,9 +780,11 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     std::shared_ptr<Connection> victim_conn;
     std::string victim_id;
     bool shed_incoming = false;
+    int64_t retry_after_ms = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
       if (queued_total_ >= options_.max_queue) {
+        retry_after_ms = RetryAfterMsLocked();
         bool victim_from_batch = queued_total_ > queued_interactive_;
         if (!victim_from_batch &&
             entry.request.qos == QosClass::kBatch) {
@@ -844,12 +862,12 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     if (victim_conn != nullptr) {
       WriteLine(victim_conn,
                 FormatServeReject(victim_id, "overloaded", "overloaded",
-                                  options_.batch_timeout_ms));
+                                  retry_after_ms));
     }
     if (shed_incoming) {
       WriteLine(conn,
                 FormatServeReject(entry.request.id, "overloaded",
-                                  "overloaded", options_.batch_timeout_ms));
+                                  "overloaded", retry_after_ms));
     } else {
       queue_cv_.notify_one();
     }
@@ -936,20 +954,19 @@ void InferenceServer::ReaderLoop(uint64_t reader_id,
 }
 
 void InferenceServer::BatcherLoop() {
+  int64_t service_us = 0;  // the previous batch's dispatch time
   for (;;) {
     std::vector<Pending> batch;
     std::vector<Pending> expired;
     int64_t queue_depth = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      queue_cv_.wait_for(
-          lock, std::chrono::milliseconds(options_.batch_timeout_ms), [&] {
-            return Stopping() || queued_total_ >= options_.max_batch;
-          });
-      if (queued_total_ == 0) {
-        if (Stopping()) return;
-        continue;
-      }
+      last_batch_us_ = service_us;
+      // Blocks until work arrives: no timer, so an idle server never wakes
+      // and a lone request is dispatched at once. Whatever queued while the
+      // previous batch ran is drained below, up to max_batch.
+      queue_cv_.wait(lock, [&] { return Stopping() || queued_total_ > 0; });
+      if (queued_total_ == 0) return;  // stopping with nothing left
       int64_t now = NowMicros();
       // Round-robin across the per-model queues: each slot of the batch is
       // taken from the next model after the previous slot's, so a model
@@ -997,6 +1014,7 @@ void InferenceServer::BatcherLoop() {
       }
       queue_depth = queued_total_;
     }
+    int64_t dispatch_start_us = NowMicros();
     for (const Pending& entry : expired) {
       WriteLine(entry.conn,
                 FormatServeError(entry.request.id, "deadline exceeded"));
@@ -1008,19 +1026,21 @@ void InferenceServer::BatcherLoop() {
         FaultTriggered("serve_mid_batch_reload")) {
       options_.chaos_reload_hook();
     }
-    for (size_t slot = 0; slot < batch.size();) {
-      const Pending& entry = batch[slot];
+    for (const Pending& entry : batch) {
       if (entry.request.is_mutation) {
-        ++slot;
         // Chaos: a validated mutation fails to apply — the client gets a
         // structured error, counters stay consistent (nothing applied, no
         // dirty rows), and the server keeps serving.
         if (FaultTriggered("serve_mutation_apply")) {
+          int64_t retry_after_ms;
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            retry_after_ms = RetryAfterMsLocked();
+          }
           WriteLine(entry.conn,
                     FormatServeReject(entry.request.id,
                                       "injected mutation-apply fault",
-                                      "fault_injected",
-                                      options_.batch_timeout_ms));
+                                      "fault_injected", retry_after_ms));
           continue;
         }
         StatusOr<MutationResult> applied =
@@ -1070,68 +1090,14 @@ void InferenceServer::BatcherLoop() {
         }
         continue;
       }
-      // Group the run of consecutive predictions pinned to the same session
-      // (and the same mutation overlay): one head-only batch forward
-      // (DESIGN.md §14) answers the whole run instead of one logits-table
-      // read per request. A mutation breaks the run, so a delta's effects
-      // stay ordered between the predictions around it. A model with a
-      // mutation overlay answers *all* its predictions from the overlay — a
-      // clean row is the same head-only gather, and a dirty row follows the
-      // staleness policy instead of serving pre-delta state.
-      size_t run_end = slot + 1;
-      while (run_end < batch.size() && !batch[run_end].request.is_mutation &&
-             batch[run_end].session == entry.session &&
-             batch[run_end].mutable_session == entry.mutable_session) {
-        ++run_end;
-      }
-      std::vector<int64_t> nodes;
-      nodes.reserve(run_end - slot);
-      for (size_t j = slot; j < run_end; ++j) {
-        nodes.push_back(batch[j].request.node);
-      }
-      StatusOr<std::vector<InferenceSession::Prediction>> group =
+      // A model with a mutation overlay answers *all* its predictions from
+      // the overlay — a clean row is the same O(classes) lookup, and a dirty
+      // row follows the staleness policy instead of serving pre-delta state.
+      StatusOr<InferenceSession::Prediction> prediction =
           entry.mutable_session != nullptr
-              ? entry.mutable_session->PredictBatch(nodes)
-              : entry.session->PredictBatch(nodes);
-      std::vector<InferenceSession::Prediction> results;
-      bool grouped = group.ok();
-      if (grouped) {
-        results = group.TakeValue();
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.head_batches;
-        stats_.head_batched_rows += static_cast<int64_t>(nodes.size());
-      }
-      // An out-of-range id fails the whole PredictBatch before any compute;
-      // re-answer the run per entry so each request keeps its own error or
-      // result exactly as if it had never been grouped.
-      for (size_t j = slot; j < run_end; ++j) {
-        const Pending& member = batch[j];
-        StatusOr<InferenceSession::Prediction> prediction =
-            grouped
-                ? StatusOr<InferenceSession::Prediction>(results[j - slot])
-                : (member.mutable_session != nullptr
-                       ? member.mutable_session->Predict(member.request.node)
-                       : member.session->Predict(member.request.node));
-        int64_t latency_us = NowMicros() - member.enqueued_us;
-        if (!prediction.ok()) {
-          WriteLine(member.conn, FormatServeError(
-                                     member.request.id,
-                                     prediction.status().message()));
-          continue;
-        }
-        if (WriteLine(member.conn,
-                      FormatServeResponse(member.request.id,
-                                          prediction.value(), latency_us))) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.responses;
-        }
-        if (Telemetry::Enabled()) {
-          Telemetry::Get().Emit(MetricRecord("serve_request")
-                                    .Add("node", prediction.value().node)
-                                    .Add("label", prediction.value().label)
-                                    .Add("latency_us", latency_us));
-        }
-      }
+              ? entry.mutable_session->Predict(entry.request.node)
+              : entry.session->Predict(entry.request.node);
+      int64_t latency_us = NowMicros() - entry.enqueued_us;
       if (entry.mutable_session != nullptr) {
         int64_t partial_rows =
             entry.mutable_session->TakeUnreportedPartialRows();
@@ -1140,7 +1106,24 @@ void InferenceServer::BatcherLoop() {
           stats_.partial_forward_rows += partial_rows;
         }
       }
-      slot = run_end;
+      if (!prediction.ok()) {
+        WriteLine(entry.conn, FormatServeError(
+                                  entry.request.id,
+                                  prediction.status().message()));
+        continue;
+      }
+      if (WriteLine(entry.conn,
+                    FormatServeResponse(entry.request.id,
+                                        prediction.value(), latency_us))) {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.responses;
+      }
+      if (Telemetry::Enabled()) {
+        Telemetry::Get().Emit(MetricRecord("serve_request")
+                                  .Add("node", prediction.value().node)
+                                  .Add("label", prediction.value().label)
+                                  .Add("latency_us", latency_us));
+      }
     }
     if (!batch.empty() && Telemetry::Enabled()) {
       Telemetry::Get().Emit(
@@ -1155,6 +1138,7 @@ void InferenceServer::BatcherLoop() {
               // an allocation-free row scan.
               .Add("tensor_buffers_allocated", TensorBuffersAllocated()));
     }
+    service_us = NowMicros() - dispatch_start_us;
   }
 }
 

@@ -108,10 +108,11 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see
   /// InferenceServer::port()). Used only when unix_path is empty.
   int tcp_port = 0;
-  /// Requests per inference batch. The batcher fires when this many are
-  /// queued or when the oldest queued request has waited batch_timeout_ms.
+  /// Most requests one batcher pass dispatches. The batcher blocks until a
+  /// request is queued, then drains up to this many at once — everything
+  /// that arrived while the previous batch ran — so batches fill under load
+  /// and a lone request never waits for company.
   int64_t max_batch = 16;
-  int64_t batch_timeout_ms = 5;
   /// Bounded total queue depth across all per-model queues. An arrival
   /// beyond this evicts a queued request — batch-class entries first, and
   /// within a class from the connection with the most queued requests (the
@@ -168,8 +169,6 @@ struct ServeStats {
   int64_t write_errors = 0;      // response writes that failed after retries
   int64_t batches = 0;           // inference batches executed
   int64_t batched_requests = 0;  // sum of batch sizes (occupancy numerator)
-  int64_t head_batches = 0;      // grouped head-only PredictBatch dispatches
-  int64_t head_batched_rows = 0;  // predictions answered via those groups
   int64_t mutations_applied = 0;     // graph deltas validated and applied
   int64_t dirty_rows = 0;            // logits rows the deltas marked dirty
   int64_t partial_forward_rows = 0;  // rows recomputed via the partial path
@@ -186,13 +185,14 @@ struct ServeStats {
 /// "model" key to a session (pinning it: a hot reload swaps the registry
 /// entry, queued requests finish against the session they resolved), and
 /// enqueues into that model's queue for the request's QoS class. A single
-/// batcher thread assembles batches of up to max_batch by draining the
-/// per-model queues round-robin — interactive entries across all models
-/// first, batch entries only into the remaining slots, so one hot model
-/// cannot starve the others and batch traffic cannot starve interactive
-/// traffic. It drops entries whose deadline expired with a distinct error,
-/// answers the rest from each session's logits cache, and writes responses
-/// back on the owning connection.
+/// batcher thread blocks until a request is queued, then assembles a batch
+/// of up to max_batch by draining the per-model queues round-robin —
+/// interactive entries across all models first, batch entries only into
+/// the remaining slots, so one hot model cannot starve the others and batch
+/// traffic cannot starve interactive traffic. It drops entries whose
+/// deadline expired with a distinct error, answers the rest from each
+/// session's logits cache, and writes responses back on the owning
+/// connection.
 ///
 /// Connection lifecycle: a reader that observes client disconnect (or idle
 /// timeout) shuts the socket down, prunes the connection from the server's
@@ -276,6 +276,10 @@ class InferenceServer {
   /// Joins reader threads whose loops have exited (accept thread only).
   void ReapFinishedReaders();
   bool Stopping() const;
+  /// retry_after_ms for load-shedding rejections: the time to drain the
+  /// batches queued ahead at the last batch's service time, in whole
+  /// milliseconds, at least 1. Caller holds mu_.
+  int64_t RetryAfterMsLocked() const;
   int64_t ClockNow() const;
 
   ModelRegistry* registry_;
@@ -291,6 +295,7 @@ class InferenceServer {
   std::map<std::string, ModelQueues> queues_;
   int64_t queued_total_ = 0;
   int64_t queued_interactive_ = 0;
+  int64_t last_batch_us_ = 0;  // the last batch's dispatch time
   /// Per-class round-robin cursors (last model a batch slot was taken
   /// from) — one per class so heavy batch traffic on one model does not
   /// perturb interactive fairness across models.

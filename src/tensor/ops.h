@@ -76,14 +76,6 @@ VarPtr ConcatCols(const std::vector<VarPtr>& xs);
 /// out[i, :] = x[rows[i], :]. Gradient scatter-adds back into x.
 VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows);
 
-/// out[i, :] = x[int64(ids[i]), :] where `ids` is a rank-1 *runtime* tensor
-/// of row indices (exact integers stored as floats — callers must keep row
-/// ids below 2^24, the float exact-integer range). Unlike GatherRows the
-/// indices are an op input, not a compile-time attribute, so a compiled
-/// graph can rebind them per run — the head-only batch forward's request
-/// rows (DESIGN.md §14). Gradient flows into x only.
-VarPtr GatherRowsDynamic(const VarPtr& x, const VarPtr& ids);
-
 /// Returns an [n_rows, x.cols()] tensor whose row rows[i] is x's row i and
 /// whose other rows are zero. `rows` must contain distinct indices.
 VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,

@@ -588,73 +588,6 @@ TEST(RefreezeTest, V1ArtifactIsRefused) {
   EXPECT_NE(refrozen.status().message().find("v1"), std::string::npos);
 }
 
-// --- batch prediction over the live overlay (DESIGN.md §14) ------------------
-
-/// Every PredictBatch answer must equal the per-row Predict answer bit for
-/// bit — the overlay invariant logits_[g] == head(hidden_[g]).
-void ExpectBatchMatchesPredict(MutableSession& session,
-                               const std::vector<int64_t>& nodes) {
-  StatusOr<std::vector<InferenceSession::Prediction>> batch =
-      session.PredictBatch(nodes);
-  ASSERT_TRUE(batch.ok()) << batch.status().message();
-  ASSERT_EQ(batch.value().size(), nodes.size());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    StatusOr<InferenceSession::Prediction> single =
-        session.Predict(nodes[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch.value()[i].node, nodes[i]);
-    EXPECT_EQ(batch.value()[i].label, single.value().label);
-    EXPECT_EQ(batch.value()[i].score, single.value().score) << "row " << i;
-  }
-}
-
-TEST(MutationBatchTest, PredictBatchMatchesPredictAcrossMutations) {
-  Harness h("SimpleHGN", RingGraph(), MixedOps);
-  std::vector<int64_t> probes = {0, 7, 3, 39, 12};
-  for (int threads : {1, 4}) {
-    SetNumThreads(threads);
-    ExpectBatchMatchesPredict(*h.session, probes);
-    if (HasFatalFailure()) break;
-    // An added node grows the overlay: the batch head recompiles at the
-    // new row count and the new node's row is immediately addressable.
-    ASSERT_TRUE(
-        h.session->Apply(EdgeMutation(Mutation::Kind::kAddEdge, "it", 3, 10))
-            .ok());
-    StatusOr<MutationResult> added =
-        h.session->Apply(AddNodeMutation("item", {0.5f, -0.25f, 0.125f, 2.f}));
-    ASSERT_TRUE(added.ok());
-    probes.push_back(added.value().node);
-    ExpectBatchMatchesPredict(*h.session, probes);
-    if (HasFatalFailure()) break;
-  }
-  SetNumThreads(0);
-}
-
-TEST(MutationBatchTest, PredictBatchUnderStalenessMatchesPredict) {
-  // An effectively-unbounded staleness window: the delta leaves rows dirty
-  // and reads serve the stale cache. PredictBatch must answer exactly what
-  // Predict answers (it falls back to per-row lookups while any requested
-  // row is dirty — an added node's logits row is zeros until the first
-  // flush, which no head-forward over its hidden row reproduces).
-  Harness h("GCN", RingGraph(), MixedOps, /*staleness_ms=*/3'600'000);
-  ASSERT_TRUE(
-      h.session->Apply(EdgeMutation(Mutation::Kind::kAddEdge, "it", 2, 9))
-          .ok());
-  StatusOr<MutationResult> added = h.session->Apply(AddNodeMutation("tag"));
-  ASSERT_TRUE(added.ok());
-  EXPECT_GT(h.session->pending_dirty_rows(), 0);
-  ExpectBatchMatchesPredict(*h.session, {0, 2, 9, 5});
-  // Still no flush forced by the batched read path.
-  EXPECT_GT(h.session->pending_dirty_rows(), 0);
-}
-
-TEST(MutationBatchTest, PredictBatchFailsWholeRequestOnBadId) {
-  Harness h("GCN", RingGraph(8), MixedOps);
-  EXPECT_FALSE(h.session->PredictBatch({0, h.session->num_targets()}).ok());
-  EXPECT_FALSE(h.session->PredictBatch({-1}).ok());
-  EXPECT_TRUE(h.session->PredictBatch({0, 1}).ok());
-}
-
 // --- quantized artifact zoo (DESIGN.md §14) ----------------------------------
 
 /// Export -> load -> Predict under fp16/int8 for every architecture the

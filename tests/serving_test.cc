@@ -140,6 +140,15 @@ std::map<std::string, std::string> ById(
   return by_id;
 }
 
+/// The retry_after_ms hint of a rejection line, or -1 when it has none.
+int64_t RetryAfterMs(const std::string& line) {
+  const std::string key = "\"retry_after_ms\":";
+  size_t pos = line.find(key);
+  return pos == std::string::npos
+             ? -1
+             : std::strtoll(line.c_str() + pos + key.size(), nullptr, 10);
+}
+
 /// The exact response line `session` would produce for (id, node), latency
 /// stripped — the bitwise-identity reference for routing tests.
 std::string ExpectedLine(const InferenceSession& session,
@@ -347,19 +356,15 @@ TEST(InferenceSessionTest, CompiledRecomputeAllocatesZeroTensorBuffers) {
   EXPECT_EQ(TensorBuffersAllocated(), before);
 }
 
-// Acceptance gate (DESIGN.md §14): the head-only batch forward answers
-// exactly what per-row Predict answers — bit for bit, at one thread and at
-// four, for batch sizes below, at, and above the kMaxBatchRows chunk.
+// PredictBatch answers exactly what per-row Predict answers — bit for bit,
+// at one thread and at four, for short and long batches.
 TEST(InferenceSessionTest, PredictBatchBitwiseMatchesPredict) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   InferenceSession session(env.frozen());
-  ASSERT_NE(session.batch_head_graph(), nullptr);
   const int64_t targets = session.num_targets();
   for (int threads : {1, 4}) {
     SetNumThreads(threads);
-    for (int64_t size : {int64_t{1}, int64_t{5},
-                         InferenceSession::kMaxBatchRows,
-                         InferenceSession::kMaxBatchRows * 2 + 3}) {
+    for (int64_t size : {1, 5, 64, 131}) {
       std::vector<int64_t> nodes(size);
       for (int64_t i = 0; i < size; ++i) nodes[i] = (i * 7 + 1) % targets;
       StatusOr<std::vector<InferenceSession::Prediction>> batch =
@@ -388,33 +393,12 @@ TEST(InferenceSessionTest, PredictBatchFailsWholeRequestOnBadId) {
   EXPECT_TRUE(session.PredictBatch({0, session.num_targets() - 1}).ok());
 }
 
-// Interpreted sessions have no compiled batch head; PredictBatch must fall
-// back to per-row lookups with identical answers.
-TEST(InferenceSessionTest, PredictBatchFallsBackWithoutCompiledHead) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  InferenceSession::Options options;
-  options.compile = false;
-  InferenceSession session(env.frozen(), options);
-  ASSERT_EQ(session.batch_head_graph(), nullptr);
-  std::vector<int64_t> nodes = {0, 3, 1, session.num_targets() - 1};
-  StatusOr<std::vector<InferenceSession::Prediction>> batch =
-      session.PredictBatch(nodes);
-  ASSERT_TRUE(batch.ok());
-  for (size_t i = 0; i < nodes.size(); ++i) {
-    StatusOr<InferenceSession::Prediction> single = session.Predict(nodes[i]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(batch.value()[i].label, single.value().label);
-    EXPECT_EQ(batch.value()[i].score, single.value().score);
-  }
-}
-
-// The batch buffers are preallocated: steady-state PredictBatch allocates
-// zero tensor buffers, like the compiled RecomputeLogits.
+// PredictBatch reads the cached logits table: steady state allocates zero
+// tensor buffers, like the compiled RecomputeLogits.
 TEST(InferenceSessionTest, PredictBatchSteadyStateAllocatesZeroTensorBuffers) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   InferenceSession session(env.frozen());
-  ASSERT_NE(session.batch_head_graph(), nullptr);
-  std::vector<int64_t> nodes(InferenceSession::kMaxBatchRows);
+  std::vector<int64_t> nodes(64);
   for (size_t i = 0; i < nodes.size(); ++i) {
     nodes[i] = static_cast<int64_t>(i) % session.num_targets();
   }
@@ -683,8 +667,8 @@ TEST(QuantizedArtifactTest, Int8Top1MatchesFp32) {
   InferenceSession exact(env.frozen());
   EXPECT_GE(Top1Agreement(quantized, exact), 0.98);
 
-  // The quantized session's own batch path stays bitwise-consistent with
-  // its per-row path (the dequantized weight feeds both identically).
+  // The quantized session's batch path stays bitwise-consistent with its
+  // per-row path.
   std::vector<int64_t> nodes = {0, 2, 1, quantized.num_targets() - 1};
   StatusOr<std::vector<InferenceSession::Prediction>> batch =
       quantized.PredictBatch(nodes);
@@ -957,7 +941,6 @@ TEST(InferenceServerTest, EndToEndOverLoopbackTcp) {
   ServerOptions options;
   options.tcp_port = 0;  // ephemeral
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   Status started = server.Start();
   ASSERT_TRUE(started.ok()) << started.message();
@@ -1122,7 +1105,6 @@ TEST(ModelRegistryTest, TwoModelRoutingMatchesSingleModelServers) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
 
   ModelRegistry single_a, single_b, multi;
   single_a.Register("a", std::make_shared<InferenceSession>(frozen_a));
@@ -1210,7 +1192,6 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1290,6 +1271,25 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
 
 // --- deadline- and fairness-aware batching ----------------------------------
 
+/// Blocks the batcher deterministically: arms serve_mid_batch_reload:0 and
+/// installs a chaos hook that signals entry then parks until released. A
+/// priming request makes the batcher assemble one batch and stall inside
+/// the hook (outside the queue lock), so the test can stage queue contents
+/// without racing the drain. Always disarm with SetFaultSpecForTest("").
+struct BatcherGate {
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> release_future{release.get_future().share()};
+  std::atomic<bool> signaled{false};
+
+  std::function<void()> Hook() {
+    return [this] {
+      if (!signaled.exchange(true)) entered.set_value();
+      release_future.wait();
+    };
+  }
+};
+
 // A request whose deadline expires while queued gets the distinct
 // "deadline exceeded" error and never reaches Predict.
 TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
@@ -1297,21 +1297,22 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
   ModelRegistry registry;
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
+  BatcherGate gate;
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 64;        // batches fire on the timer only
-  options.batch_timeout_ms = 300;
+  options.max_batch = 64;
+  options.chaos_reload_hook = gate.Hook();
+  SetFaultSpecForTest("serve_mid_batch_reload:0");
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
   int fd = ConnectLoopback(server.port());
   ASSERT_GE(fd, 0);
 
-  // Warm-up request: its response means the batcher just started a fresh
-  // 300ms wait, so the next request reliably sits in the queue.
-  std::string warm = "{\"id\": \"w\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(fd, warm.data(), warm.size()));
-  ASSERT_EQ(RecvLines(fd, 1).size(), 1u);
+  // The priming request parks the batcher, so the next two sit queued.
+  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
+  ASSERT_TRUE(SendAll(fd, prime.data(), prime.size()));
+  gate.entered.get_future().wait();
 
   // deadline_ms 0 expires the moment any queue wait happens; a generous
   // deadline on the same connection must be unaffected.
@@ -1319,15 +1320,21 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
       "{\"id\": \"late\", \"node\": 0, \"deadline_ms\": 0}\n"
       "{\"id\": \"fine\", \"node\": 1, \"deadline_ms\": 60000}\n";
   ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
-  auto by_id = ById(RecvLines(fd, 2));
-  ASSERT_EQ(by_id.size(), 2u);
+  for (int waited = 0; waited < 200 && server.stats().requests < 3; ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.stats().requests, 3);
+  gate.release.set_value();
+  auto by_id = ById(RecvLines(fd, 3));
+  ::close(fd);
+  SetFaultSpecForTest("");
+  ASSERT_EQ(by_id.size(), 3u);
   EXPECT_NE(by_id["late"].find("\"error\":\"deadline exceeded\""),
             std::string::npos)
       << by_id["late"];
   EXPECT_NE(by_id["fine"].find("\"label\":"), std::string::npos)
       << by_id["fine"];
 
-  ::close(fd);
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
@@ -1347,23 +1354,26 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
   ModelRegistry registry;
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
+  BatcherGate gate;
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 64;        // keep everything queued until the timer
-  options.batch_timeout_ms = 500;
+  options.max_batch = 64;
   options.max_queue = 4;
+  options.chaos_reload_hook = gate.Hook();
+  SetFaultSpecForTest("serve_mid_batch_reload:0");
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
+  int prime_fd = ConnectLoopback(server.port());
   int flood_fd = ConnectLoopback(server.port());
   int victim_fd = ConnectLoopback(server.port());
+  ASSERT_GE(prime_fd, 0);
   ASSERT_GE(flood_fd, 0);
   ASSERT_GE(victim_fd, 0);
 
-  // Sync with the batcher (fresh 500ms wait after this response).
-  std::string warm = "{\"id\": \"w\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(flood_fd, warm.data(), warm.size()));
-  ASSERT_EQ(RecvLines(flood_fd, 1).size(), 1u);
+  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
+  ASSERT_TRUE(SendAll(prime_fd, prime.data(), prime.size()));
+  gate.entered.get_future().wait();  // batcher parked mid-batch
 
   // The flooding connection fills the whole queue...
   std::string flood;
@@ -1371,15 +1381,26 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
     flood += "{\"id\": \"f" + std::to_string(i) + "\", \"node\": 0}\n";
   }
   ASSERT_TRUE(SendAll(flood_fd, flood.data(), flood.size()));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  for (int waited = 0; waited < 200 && server.stats().requests < 5; ++waited) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(server.stats().requests, 5);  // prime + f0..f3
 
   // ...and the late arrival from a quiet connection still gets served,
   // displacing the flooder's newest request.
   std::string polite = "{\"id\": \"v\", \"node\": 1}\n";
   ASSERT_TRUE(SendAll(victim_fd, polite.data(), polite.size()));
+  // The eviction is written by the reader while the batcher is parked.
+  std::vector<std::string> flood_lines = RecvLines(flood_fd, 1);
+  gate.release.set_value();
 
-  auto flood_responses = ById(RecvLines(flood_fd, 4));
+  for (std::string& line : RecvLines(flood_fd, 3)) {
+    flood_lines.push_back(std::move(line));
+  }
+  auto flood_responses = ById(flood_lines);
   auto polite_responses = ById(RecvLines(victim_fd, 1));
+  ASSERT_EQ(RecvLines(prime_fd, 1).size(), 1u);
+  SetFaultSpecForTest("");
   ASSERT_EQ(flood_responses.size(), 4u);
   ASSERT_EQ(polite_responses.size(), 1u);
   EXPECT_NE(polite_responses["v"].find("\"label\":"), std::string::npos)
@@ -1393,13 +1414,43 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
         << flood_responses[id];
   }
 
+  ::close(prime_fd);
   ::close(flood_fd);
   ::close(victim_fd);
   server.Stop();
   serving.join();
   ServeStats stats = server.stats();
   EXPECT_EQ(stats.shed, 1);
-  EXPECT_EQ(stats.responses, 5);  // warm + f0..f2 + v
+  EXPECT_EQ(stats.responses, 5);  // prime + f0..f2 + v
+}
+
+// Stop() must wake a batcher blocked in its untimed wait: an idle server
+// started and stopped 50 times shuts down promptly every time.
+TEST(InferenceServerTest, IdleStartStopReturnsPromptly) {
+  const ServingEnvironment& env = ServingEnvironment::Get();
+  ModelRegistry registry;
+  registry.Register("default",
+                    std::make_shared<InferenceSession>(env.frozen()));
+  for (int round = 0; round < 50; ++round) {
+    ServerOptions options;
+    options.tcp_port = 0;
+    InferenceServer server(&registry, options);
+    ASSERT_TRUE(server.Start().ok());
+    std::promise<void> returned;
+    std::future<void> served = returned.get_future();
+    std::thread serving([&] {
+      server.Serve();
+      returned.set_value();
+    });
+    server.Stop();
+    if (served.wait_for(std::chrono::seconds(1)) !=
+        std::future_status::ready) {
+      ADD_FAILURE() << "Serve() still running 1 s after Stop(), round "
+                    << round;
+      server.Stop();  // a second notify reaches a batcher already waiting
+    }
+    serving.join();
+  }
 }
 
 // --- connection lifecycle hardening -----------------------------------------
@@ -1415,7 +1466,6 @@ TEST(InferenceServerTest, FdCountStableAcrossConnectionChurn) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1701,7 +1751,6 @@ TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1784,7 +1833,6 @@ TEST(InferenceServerTest, MalformedMutationsGetDistinctErrors) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1833,7 +1881,6 @@ TEST(InferenceServerTest, MutationsDisabledIsADistinctError) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1869,7 +1916,6 @@ TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
                     std::make_shared<InferenceSession>(std::move(v1)));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1898,9 +1944,8 @@ TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
   EXPECT_EQ(server.stats().mutations_applied, 0);
 }
 
-// Tentpole at the socket level: consecutive predictions pinned to the same
-// session are answered by one head-only batch forward, and every answer is
-// bitwise what the ungrouped path would have produced.
+// A burst of predictions pinned to the same session drains in batches, and
+// every answer is bitwise what the in-process session produces.
 TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
@@ -1909,7 +1954,6 @@ TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 16;
-  options.batch_timeout_ms = 20;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1939,11 +1983,6 @@ TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
   serving.join();
   ServeStats stats = server.stats();
   EXPECT_EQ(stats.responses, kRequests);
-  // Every prediction went through the batch-head path, and the runs really
-  // grouped (far fewer forwards than requests).
-  EXPECT_EQ(stats.head_batched_rows, kRequests);
-  EXPECT_GE(stats.head_batches, 1);
-  EXPECT_LT(stats.head_batches, kRequests);
 }
 
 // Satellite: a delta racing a model swap. An unchanged-fingerprint reload
@@ -2137,7 +2176,6 @@ TEST(InferenceServerTest, RateLimitingOverSocketIsDeterministic) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   options.rate_limit_rps = 1.0;
   options.rate_limit_burst = 2.0;
   options.clock = [] { return int64_t{0}; };  // frozen time: zero refill
@@ -2196,7 +2234,6 @@ TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   options.rate_limit_rps = 1.0;
   options.rate_limit_burst = 1.0;
   options.clock = [] { return int64_t{0}; };
@@ -2236,25 +2273,6 @@ TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
   EXPECT_EQ(server.stats().rate_limited, 1);
 }
 
-/// Blocks the batcher deterministically: arms serve_mid_batch_reload:0 and
-/// installs a chaos hook that signals entry then parks until released. A
-/// priming request makes the batcher assemble one batch and stall inside
-/// the hook (outside the queue lock), so the test can stage queue contents
-/// without racing the drain. Always disarm with SetFaultSpecForTest("").
-struct BatcherGate {
-  std::promise<void> entered;
-  std::promise<void> release;
-  std::shared_future<void> release_future{release.get_future().share()};
-  std::atomic<bool> signaled{false};
-
-  std::function<void()> Hook() {
-    return [this] {
-      if (!signaled.exchange(true)) entered.set_value();
-      release_future.wait();
-    };
-  }
-};
-
 // Under saturation, queued interactive requests drain before queued batch
 // requests even when the batch requests arrived first.
 TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
@@ -2266,7 +2284,6 @@ TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 2;
-  options.batch_timeout_ms = 2;
   options.chaos_reload_hook = gate.Hook();
   SetFaultSpecForTest("serve_mid_batch_reload:0");
   InferenceServer server(&registry, options);
@@ -2345,7 +2362,6 @@ TEST(InferenceServerTest, BatchAbsorbsEvictionBeforeInteractive) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 8;
-  options.batch_timeout_ms = 2;
   options.max_queue = 3;
   options.chaos_reload_hook = gate.Hook();
   SetFaultSpecForTest("serve_mid_batch_reload:0");
@@ -2390,8 +2406,8 @@ TEST(InferenceServerTest, BatchAbsorbsEvictionBeforeInteractive) {
     EXPECT_NE(by_id[victim].find("\"reason\":\"overloaded\""),
               std::string::npos)
         << by_id[victim];
-    EXPECT_NE(by_id[victim].find("\"retry_after_ms\":"), std::string::npos)
-        << by_id[victim];
+    // The hint comes from the measured drain rate, never below 1 ms.
+    EXPECT_GE(RetryAfterMs(by_id[victim]), 1) << by_id[victim];
   }
   by_id = ById(answers);
   for (const char* survivor : {"i0", "i1", "b0"}) {
@@ -2416,7 +2432,6 @@ TEST(InferenceServerTest, IncomingBatchNeverDisplacesQueuedInteractive) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 8;
-  options.batch_timeout_ms = 2;
   options.max_queue = 2;
   options.chaos_reload_hook = gate.Hook();
   SetFaultSpecForTest("serve_mid_batch_reload:0");
@@ -2471,7 +2486,6 @@ TEST(InferenceServerTest, InflightCapRejectsPerConnection) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 8;
-  options.batch_timeout_ms = 2;
   options.max_inflight_per_conn = 2;
   options.chaos_reload_hook = gate.Hook();
   SetFaultSpecForTest("serve_mid_batch_reload:0");
@@ -2498,8 +2512,7 @@ TEST(InferenceServerTest, InflightCapRejectsPerConnection) {
   EXPECT_NE(reject[0].find("\"reason\":\"inflight_limit\""),
             std::string::npos)
       << reject[0];
-  EXPECT_NE(reject[0].find("\"retry_after_ms\":"), std::string::npos)
-      << reject[0];
+  EXPECT_GE(RetryAfterMs(reject[0]), 1) << reject[0];
   gate.release.set_value();
 
   std::vector<std::string> answers = RecvLines(fd, 2);
@@ -2526,7 +2539,6 @@ TEST(InferenceServerTest, IdleConnectionsAreReaped) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   options.idle_timeout_ms = 120;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2557,7 +2569,6 @@ TEST(InferenceServerTest, ActiveConnectionOutlivesIdleTimeout) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   options.idle_timeout_ms = 150;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2589,7 +2600,6 @@ TEST(InferenceServerTest, MaxConnsRefusesThenRecovers) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   options.max_conns = 1;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2655,7 +2665,6 @@ void RunChaosTraffic(const std::string& spec, int requests,
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   if (tweak) tweak(&options);
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2745,7 +2754,6 @@ TEST(ChaosTest, MutationApplyFaultIsContained) {
   ServerOptions options;
   options.tcp_port = 0;
   options.max_batch = 4;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -2791,7 +2799,6 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
   ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
   ServerOptions options;
   options.tcp_port = 0;
-  options.batch_timeout_ms = 2;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
