@@ -54,6 +54,7 @@
 #include "serving/model_registry.h"
 #include "serving/mutable_session.h"
 #include "serving/server.h"
+#include "util/fault.h"
 #include "util/flags.h"
 #include "util/parallel.h"
 #include "util/shutdown.h"
@@ -459,9 +460,9 @@ void DumpCompiledIr(const ModelRegistry& registry) {
   std::fflush(stdout);
 }
 
-/// Returns false when the reload failed (the serving set is unchanged);
-/// the caller counts it into ServeStats::reload_failures.
-bool HandleSighupReload(ModelRegistry* registry, bool dump_ir) {
+/// A failed reload leaves the serving set unchanged; Reload() counts it in
+/// serve.reload_failures.
+void HandleSighupReload(ModelRegistry* registry, bool dump_ir) {
   std::printf("SIGHUP: re-reading artifact set\n");
   StatusOr<ModelRegistry::ReloadReport> report = registry->Reload();
   if (!report.ok()) {
@@ -469,7 +470,7 @@ bool HandleSighupReload(ModelRegistry* registry, bool dump_ir) {
     std::fprintf(stderr, "reload failed (serving set unchanged): %s\n",
                  report.status().message().c_str());
     std::fflush(stderr);
-    return false;
+    return;
   }
   auto join = [](const std::vector<std::string>& names) {
     std::string joined;
@@ -489,7 +490,6 @@ bool HandleSighupReload(ModelRegistry* registry, bool dump_ir) {
   PrintModelTable(*registry);
   std::fflush(stdout);
   if (dump_ir) DumpCompiledIr(*registry);
-  return true;
 }
 
 int Run(int argc, char** argv) {
@@ -607,29 +607,19 @@ int Run(int argc, char** argv) {
   options.idle_timeout_ms = flags.GetInt("idle_timeout_ms", 0);
   options.max_conns = flags.GetInt("max_conns", 0);
   options.max_inflight_per_conn = flags.GetInt("max_inflight_per_conn", 0);
-  // The hooks capture the server pointer by reference: the server does not
-  // exist until the options are consumed, and a failed reload must be
-  // counted on it.
-  InferenceServer* server_ptr = nullptr;
-  options.poll_hook = [&registry, &server_ptr, dump_ir] {
+  options.poll_hook = [&registry, dump_ir] {
     if (!g_sighup_pending) return;
     g_sighup_pending = 0;
-    if (!HandleSighupReload(&registry, dump_ir) && server_ptr != nullptr) {
-      server_ptr->NoteReloadFailure();
-    }
+    HandleSighupReload(&registry, dump_ir);
   };
-  options.chaos_reload_hook = [&registry, &server_ptr] {
+  options.chaos_reload_hook = [&registry] {
     // Forced mid-batch reload (chaos site serve_mid_batch_reload): same
     // all-or-nothing registry swap the SIGHUP path runs, without waiting
     // for a signal.
-    StatusOr<ModelRegistry::ReloadReport> report = registry.Reload();
-    if (!report.ok() && server_ptr != nullptr) {
-      server_ptr->NoteReloadFailure();
-    }
+    (void)registry.Reload();
   };
 
   InferenceServer server(&registry, options);
-  server_ptr = &server;
   Status started = server.Start();
   if (!started.ok()) {
     std::fprintf(stderr, "error: %s\n", started.message().c_str());
@@ -643,13 +633,17 @@ int Run(int argc, char** argv) {
   std::fflush(stdout);
   server.Serve();
 
-  ServeStats stats = server.stats();
+  // The process-wide registry counters (DESIGN.md §8); this process hosts
+  // one server, so their totals are its totals.
+  auto count = [](const char* name) {
+    return static_cast<long long>(Telemetry::Get().GetCounter(name).value());
+  };
+  long long batches = count("serve.batches");
   double occupancy =
-      stats.batches > 0
-          ? static_cast<double>(stats.batched_requests) /
-                (static_cast<double>(stats.batches) *
-                 static_cast<double>(options.max_batch))
-          : 0.0;
+      batches > 0 ? static_cast<double>(count("serve.batched_requests")) /
+                        (static_cast<double>(batches) *
+                         static_cast<double>(options.max_batch))
+                  : 0.0;
   std::printf(
       "shutdown: %lld connections, %lld requests, %lld responses, "
       "%lld malformed, %lld unknown-model, %lld overlong, %lld shed, "
@@ -658,26 +652,17 @@ int Run(int argc, char** argv) {
       "(occupancy %.2f), %lld rate-limited, %lld idle-closed, "
       "%lld conns-refused, %lld inflight-rejected, %lld reload-failures, "
       "%lld feed-skipped, %lld faults-injected\n",
-      static_cast<long long>(stats.connections),
-      static_cast<long long>(stats.requests),
-      static_cast<long long>(stats.responses),
-      static_cast<long long>(stats.malformed),
-      static_cast<long long>(stats.unknown_model),
-      static_cast<long long>(stats.overlong_lines),
-      static_cast<long long>(stats.shed),
-      static_cast<long long>(stats.deadline_expired),
-      static_cast<long long>(stats.write_errors),
-      static_cast<long long>(stats.mutations_applied),
-      static_cast<long long>(stats.dirty_rows),
-      static_cast<long long>(stats.partial_forward_rows),
-      static_cast<long long>(stats.batches), occupancy,
-      static_cast<long long>(stats.rate_limited),
-      static_cast<long long>(stats.idle_closed),
-      static_cast<long long>(stats.conns_refused),
-      static_cast<long long>(stats.inflight_rejected),
-      static_cast<long long>(stats.reload_failures),
+      count("serve.connections"), count("serve.requests"),
+      count("serve.responses"), count("serve.malformed"),
+      count("serve.unknown_model"), count("serve.overlong_lines"),
+      count("serve.shed"), count("serve.deadline_expired"),
+      count("serve.write_errors"), count("serve.mutations_applied"),
+      count("serve.dirty_rows"), count("mutable.partial_forward_rows"),
+      batches, occupancy, count("serve.rate_limited"),
+      count("serve.idle_closed"), count("serve.conns_refused"),
+      count("serve.inflight_rejected"), count("serve.reload_failures"),
       static_cast<long long>(feed_skipped),
-      static_cast<long long>(stats.faults_injected));
+      static_cast<long long>(FaultTriggersObserved()));
   return 0;
 }
 

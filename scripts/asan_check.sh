@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Builds the serialization/checkpoint layers under ASan+UBSan and runs the
-# tests that parse untrusted bytes. Usage: scripts/asan_check.sh [build-dir]
+# Builds the serialization/checkpoint layers and the serving stack under
+# ASan+UBSan and runs the tests that parse untrusted bytes or serve them.
+# Usage: scripts/asan_check.sh [build-dir]
 #
 # The byte-flip fuzz tests deliberately feed corrupted containers to the
 # readers; ASan proves that every rejection path is also memory-safe (no
@@ -13,7 +14,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "${BUILD_DIR}" -S . -DAUTOAC_ASAN=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
   --target serialization_test checkpoint_test telemetry_test util_test \
-           compiler_test
+           compiler_test serving_test mutation_test
 
 # Any sanitizer report fails the run loudly instead of being buried in
 # test output. detect_leaks needs ptrace, which some CI sandboxes deny;
@@ -28,5 +29,10 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 # Planner fuzz + arena executor: ASan proves no fuzzed memory plan ever
 # lets two live values overlap a slot or a kernel write past its arena.
 "${BUILD_DIR}/tests/compiler_test"
+# Serving: socket request lines, artifact bytes, chaos sites and reloads
+# (serving_test); graph deltas and the partial recompute that scatters
+# subgraph rows back into the overlay (mutation_test).
+"${BUILD_DIR}/tests/serving_test"
+"${BUILD_DIR}/tests/mutation_test"
 
 echo "ASan+UBSan check passed."

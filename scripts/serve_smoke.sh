@@ -13,6 +13,8 @@
 #      responses must be identical across clients (same frozen logits).
 #   4. SIGTERM the server and require a cooperative shutdown: exit status
 #      0, a final stats line, and request/response counters that add up.
+#      The --metrics_out snapshot of the serve.requests counter must equal
+#      the stats line's request count (one metrics path).
 #   5. Start a two-model server (--models=a=..,b=..); routed clients must
 #      reproduce the single-model answers exactly, and the default route
 #      must be model a.
@@ -190,6 +192,14 @@ echo "${stats}" | grep -q " ${total} requests, ${total} responses" || {
 # Telemetry captured per-request latencies and per-batch occupancy.
 grep -q '"type":"serve_request"' "${WORK}/serve_metrics.jsonl"
 grep -q '"type":"serve_batch"' "${WORK}/serve_metrics.jsonl"
+# The stats line and the JSONL registry snapshot read the same counters.
+line_requests="$(sed -En 's/.* ([0-9]+) requests,.*/\1/p' <<<"${stats}")"
+grep -q "\"type\":\"counter\",\"name\":\"serve.requests\",\"value\":${line_requests}," \
+  "${WORK}/serve_metrics.jsonl" || {
+  echo "FAIL: no serve.requests counter record equal to ${line_requests}" >&2
+  grep '"type":"counter"' "${WORK}/serve_metrics.jsonl" >&2 || true
+  exit 1
+}
 
 echo "== two-model server =="
 # Serve private copies so overwriting one later cannot corrupt the

@@ -13,7 +13,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "${BUILD_DIR}" -S . -DAUTOAC_TSAN=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
   --target parallel_test parallel_determinism_test sparse_ops_test \
-           tensor_test telemetry_test compiler_test
+           tensor_test telemetry_test compiler_test serving_test
 
 # halt_on_error makes any data-race report fail the run loudly instead of
 # being buried in test output.
@@ -34,5 +34,11 @@ for threads in 2 4 7; do
   # pool; the zoo identity tests exercise them at this thread count.
   AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/compiler_test"
 done
+
+# Serving: reader threads, the batcher and the accept loop share queues,
+# connections and the registry counters. One pass; the socket tests
+# exercise the threads the server starts, not the pool width.
+echo "== TSan pass: serving_test =="
+"${BUILD_DIR}/tests/serving_test"
 
 echo "TSan check passed."

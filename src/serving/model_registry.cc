@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "serving/frozen_model.h"
+#include "util/telemetry.h"
 
 namespace autoac {
 namespace {
@@ -102,11 +103,24 @@ Status ModelRegistry::LoadFromSpec(const std::string& models_spec,
     models_spec_ = models_spec;
     model_dir_ = model_dir;
   }
-  StatusOr<ReloadReport> report = Reload();
+  StatusOr<ReloadReport> report = ResolveAndSwap();
   return report.ok() ? Status::Ok() : report.status();
 }
 
 StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
+  StatusOr<ReloadReport> report = ResolveAndSwap();
+  if (!report.ok()) {
+    // The old serving set is untouched; the operator sees the failure in
+    // the counter and the telemetry stream.
+    AUTOAC_COUNTER_ADD("serve.reload_failures", 1);
+    if (Telemetry::Enabled()) {
+      Telemetry::Get().Emit(MetricRecord("serve_reload").Add("ok", 0));
+    }
+  }
+  return report;
+}
+
+StatusOr<ModelRegistry::ReloadReport> ModelRegistry::ResolveAndSwap() {
   std::string models_spec, model_dir;
   std::map<std::string, Entry> current;
   InferenceSession::Options session_options;

@@ -79,7 +79,9 @@ class ModelRegistry {
 
   /// Re-resolves the spec set by LoadFromSpec() (re-scans the directory)
   /// and atomically swaps in the new artifact set. Requires a prior
-  /// LoadFromSpec(); a Register()-only registry has nothing to re-read.
+  /// LoadFromSpec(); a Register()-only registry has nothing to re-read. A
+  /// failure keeps the current set serving, bumps the registry counter
+  /// `serve.reload_failures` and emits a `serve_reload` record with ok=0.
   StatusOr<ReloadReport> Reload();
 
   /// Session for `name`; the empty string resolves the default model.
@@ -121,6 +123,10 @@ class ModelRegistry {
     std::shared_ptr<InferenceSession> session;
     std::shared_ptr<MutableSession> mutable_session;  // when enabled
   };
+
+  /// Reload() without the failure accounting; LoadFromSpec's initial load
+  /// goes through here, since a failed startup load is not a reload.
+  StatusOr<ReloadReport> ResolveAndSwap();
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;

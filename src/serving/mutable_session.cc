@@ -9,6 +9,7 @@
 #include "models/factory.h"
 #include "tensor/ops.h"
 #include "util/check.h"
+#include "util/telemetry.h"
 
 namespace autoac {
 namespace {
@@ -357,7 +358,8 @@ bool MutableSession::TryFlushPartial(const std::vector<int64_t>& dirty_logits,
     CopyRow(h0_values, sub.full_to_sub[g], h0_, g);
   }
   partial_forward_rows_ += static_cast<int64_t>(dirty_logits.size());
-  unreported_partial_rows_ += static_cast<int64_t>(dirty_logits.size());
+  AUTOAC_COUNTER_ADD("mutable.partial_forward_rows",
+                     static_cast<int64_t>(dirty_logits.size()));
   ++partial_recomputes_;
   return true;
 }

@@ -32,8 +32,8 @@ struct Mutation {
   uint64_t expect_fingerprint = 0;
 };
 
-/// Outcome of one applied mutation, echoed to the client and folded into
-/// ServeStats.
+/// Outcome of one applied mutation, echoed to the client and counted in
+/// the server's `serve.dirty_rows`.
 struct MutationResult {
   int64_t node = -1;       // add_node: assigned type-local id
   int64_t dirty_rows = 0;  // logits rows newly marked dirty by this delta
@@ -110,25 +110,20 @@ class MutableSession {
   /// Flushes first so the matrix is exact.
   const Tensor& FlushedLogits();
 
-  // --- observability (ServeStats feeds from these) --------------------------
+  // --- observability (per overlay) ------------------------------------------
   int64_t mutations_applied() const { return mutations_applied_; }
   /// Total logits rows ever marked dirty (double-marking not double-counted
   /// within one frontier).
   int64_t dirty_rows_marked() const { return dirty_rows_marked_; }
-  /// Logits rows recomputed via the partial (subgraph) path.
+  /// Logits rows recomputed via the partial (subgraph) path. Each flush
+  /// also adds them to the process-wide counter
+  /// `mutable.partial_forward_rows` (DESIGN.md §8).
   int64_t partial_forward_rows() const { return partial_forward_rows_; }
   int64_t partial_recomputes() const { return partial_recomputes_; }
   int64_t full_recomputes() const { return full_recomputes_; }
   /// Rows currently dirty (awaiting a flush).
   int64_t pending_dirty_rows() const {
     return static_cast<int64_t>(dirty_logits_.size());
-  }
-  /// Partial-forward rows not yet folded into ServeStats; the batcher (the
-  /// sole consumer) drains this after each dispatch. Resets to zero.
-  int64_t TakeUnreportedPartialRows() {
-    int64_t rows = unreported_partial_rows_;
-    unreported_partial_rows_ = 0;
-    return rows;
   }
 
  private:
@@ -166,7 +161,6 @@ class MutableSession {
   int64_t mutations_applied_ = 0;
   int64_t dirty_rows_marked_ = 0;
   int64_t partial_forward_rows_ = 0;
-  int64_t unreported_partial_rows_ = 0;
   int64_t partial_recomputes_ = 0;
   int64_t full_recomputes_ = 0;
 };

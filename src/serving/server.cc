@@ -486,16 +486,6 @@ int64_t InferenceServer::ClockNow() const {
   return options_.clock ? options_.clock() : NowMicros();
 }
 
-void InferenceServer::NoteReloadFailure() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.reload_failures;
-  }
-  if (Telemetry::Enabled()) {
-    Telemetry::Get().Emit(MetricRecord("serve_reload").Add("ok", 0));
-  }
-}
-
 InferenceServer::~InferenceServer() {
   Stop();
   if (batcher_.joinable()) batcher_.join();
@@ -618,9 +608,9 @@ void InferenceServer::Serve() {
         std::lock_guard<std::mutex> lock(mu_);
         refuse = static_cast<int64_t>(connections_.size()) >=
                  options_.max_conns;
-        if (refuse) ++stats_.conns_refused;
       }
       if (refuse) {
+        AUTOAC_COUNTER_ADD("serve.conns_refused", 1);
         // Immediate structured refusal: the client learns why and when to
         // retry instead of seeing a silent RST or hanging in the backlog.
         std::string line = FormatServeReject(
@@ -635,9 +625,9 @@ void InferenceServer::Serve() {
     conn->fd = fd;
     uint64_t id = next_reader_id_++;
     conn->identity = "conn:" + std::to_string(id);
+    AUTOAC_COUNTER_ADD("serve.connections", 1);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.connections;
       connections_.push_back(conn);
     }
     readers_.emplace(id, std::thread(&InferenceServer::ReaderLoop, this, id,
@@ -673,10 +663,7 @@ bool InferenceServer::WriteLine(const std::shared_ptr<Connection>& conn,
     std::lock_guard<std::mutex> lock(conn->write_mu);
     sent = SendAll(conn->fd, line.data(), line.size());
   }
-  if (!sent) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.write_errors;
-  }
+  if (!sent) AUTOAC_COUNTER_ADD("serve.write_errors", 1);
   return sent;
 }
 
@@ -691,10 +678,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     ServeRequest request;
     std::string error;
     if (!ParseServeRequestLine(line, &request, &error)) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.malformed;
-      }
+      AUTOAC_COUNTER_ADD("serve.malformed", 1);
       WriteLine(conn, FormatServeError(request.id, error));
       continue;
     }
@@ -707,10 +691,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
           request.client.empty() ? conn->identity : request.client;
       int64_t retry_after_ms = 0;
       if (!admission_.Admit(identity, ClockNow(), &retry_after_ms)) {
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.rate_limited;
-        }
+        AUTOAC_COUNTER_ADD("serve.rate_limited", 1);
         WriteLine(conn, FormatServeReject(request.id, "rate limited",
                                           "rate_limited", retry_after_ms));
         continue;
@@ -722,12 +703,10 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
       {
         std::lock_guard<std::mutex> lock(mu_);
         over = conn->queued >= options_.max_inflight_per_conn;
-        if (over) {
-          ++stats_.inflight_rejected;
-          retry_after_ms = RetryAfterMsLocked();
-        }
+        if (over) retry_after_ms = RetryAfterMsLocked();
       }
       if (over) {
+        AUTOAC_COUNTER_ADD("serve.inflight_rejected", 1);
         WriteLine(conn,
                   FormatServeReject(
                       request.id,
@@ -744,10 +723,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     std::shared_ptr<InferenceSession> session =
         registry_->Lookup(request.model, &resolved_model, &mutable_session);
     if (session == nullptr) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.unknown_model;
-      }
+      AUTOAC_COUNTER_ADD("serve.unknown_model", 1);
       WriteLine(conn,
                 FormatServeError(request.id,
                                  "unknown model \"" + request.model + "\""));
@@ -783,6 +759,10 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
     int64_t retry_after_ms = 0;
     {
       std::lock_guard<std::mutex> lock(mu_);
+      // Counted before the overload decision, so a shed request is one of
+      // `requests` too; under mu_, so the count and the enqueue land in
+      // one critical section.
+      AUTOAC_COUNTER_ADD("serve.requests", 1);
       if (queued_total_ >= options_.max_queue) {
         retry_after_ms = RetryAfterMsLocked();
         bool victim_from_batch = queued_total_ > queued_interactive_;
@@ -790,7 +770,6 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
             entry.request.qos == QosClass::kBatch) {
           // Only interactive work is queued; the incoming batch request
           // yields.
-          ++stats_.shed;
           shed_incoming = true;
         } else {
           int64_t max_queued = 0;
@@ -809,7 +788,6 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
               !victim_from_batch ||
               entry.request.qos == QosClass::kBatch;
           if (incoming_eligible && conn->queued >= max_queued) {
-            ++stats_.shed;
             shed_incoming = true;
           } else {
             // Newest entry of the most-loaded connection in the eligible
@@ -839,7 +817,6 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
             victim_queue->erase(victim_it);
             --queued_total_;
             if (!victim_from_batch) --queued_interactive_;
-            ++stats_.shed;
             for (auto it = queues_.begin(); it != queues_.end();) {
               it = it->second.empty() ? queues_.erase(it) : std::next(it);
             }
@@ -847,7 +824,6 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
         }
       }
       if (!shed_incoming) {
-        ++stats_.requests;
         ++conn->queued;
         ++queued_total_;
         ModelQueues& mq = queues_[resolved_model];
@@ -858,6 +834,9 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
           mq.batch.push_back(std::move(entry));
         }
       }
+    }
+    if (victim_conn != nullptr || shed_incoming) {
+      AUTOAC_COUNTER_ADD("serve.shed", 1);
     }
     if (victim_conn != nullptr) {
       WriteLine(victim_conn,
@@ -874,10 +853,7 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
   }
   pending->erase(0, start);
   if (static_cast<int64_t>(pending->size()) > options_.max_line_bytes) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.overlong_lines;
-    }
+    AUTOAC_COUNTER_ADD("serve.overlong_lines", 1);
     WriteLine(conn,
               FormatServeError(
                   "", "request line exceeds " +
@@ -931,10 +907,7 @@ void InferenceServer::ReaderLoop(uint64_t reader_id,
     if (!ok) break;
   }
   if (idle_kill) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.idle_closed;
-    }
+    AUTOAC_COUNTER_ADD("serve.idle_closed", 1);
     WriteLine(conn, FormatServeReject("", "idle timeout", "idle_timeout",
                                       /*retry_after_ms=*/-1));
   }
@@ -1002,17 +975,19 @@ void InferenceServer::BatcherLoop() {
         if (take_interactive) --queued_interactive_;
         --entry.conn->queued;
         if (entry.deadline_us >= 0 && now > entry.deadline_us) {
-          ++stats_.deadline_expired;
           expired.push_back(std::move(entry));
           continue;  // never reaches Predict
         }
         batch.push_back(std::move(entry));
       }
-      if (!batch.empty()) {
-        ++stats_.batches;
-        stats_.batched_requests += static_cast<int64_t>(batch.size());
-      }
       queue_depth = queued_total_;
+    }
+    AUTOAC_COUNTER_ADD("serve.deadline_expired",
+                       static_cast<int64_t>(expired.size()));
+    if (!batch.empty()) {
+      AUTOAC_COUNTER_ADD("serve.batches", 1);
+      AUTOAC_COUNTER_ADD("serve.batched_requests",
+                         static_cast<int64_t>(batch.size()));
     }
     int64_t dispatch_start_us = NowMicros();
     for (const Pending& entry : expired) {
@@ -1046,12 +1021,7 @@ void InferenceServer::BatcherLoop() {
         StatusOr<MutationResult> applied =
             entry.mutable_session->Apply(entry.request.mutation);
         int64_t latency_us = NowMicros() - entry.enqueued_us;
-        int64_t partial_rows = entry.mutable_session->TakeUnreportedPartialRows();
         if (!applied.ok()) {
-          if (partial_rows > 0) {
-            std::lock_guard<std::mutex> lock(mu_);
-            stats_.partial_forward_rows += partial_rows;
-          }
           const std::string& message = applied.status().message();
           // v1 artifacts (no completion section) refuse every mutation;
           // give clients a machine-readable reason so feeders can stop
@@ -1068,18 +1038,13 @@ void InferenceServer::BatcherLoop() {
           }
           continue;
         }
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.mutations_applied;
-          stats_.dirty_rows += applied.value().dirty_rows;
-          stats_.partial_forward_rows += partial_rows;
-        }
+        AUTOAC_COUNTER_ADD("serve.mutations_applied", 1);
+        AUTOAC_COUNTER_ADD("serve.dirty_rows", applied.value().dirty_rows);
         if (WriteLine(entry.conn,
                       FormatMutationResponse(entry.request.id,
                                              entry.request.mutation,
                                              applied.value(), latency_us))) {
-          std::lock_guard<std::mutex> lock(mu_);
-          ++stats_.responses;
+          AUTOAC_COUNTER_ADD("serve.responses", 1);
         }
         if (Telemetry::Enabled()) {
           Telemetry::Get().Emit(
@@ -1098,14 +1063,6 @@ void InferenceServer::BatcherLoop() {
               ? entry.mutable_session->Predict(entry.request.node)
               : entry.session->Predict(entry.request.node);
       int64_t latency_us = NowMicros() - entry.enqueued_us;
-      if (entry.mutable_session != nullptr) {
-        int64_t partial_rows =
-            entry.mutable_session->TakeUnreportedPartialRows();
-        if (partial_rows > 0) {
-          std::lock_guard<std::mutex> lock(mu_);
-          stats_.partial_forward_rows += partial_rows;
-        }
-      }
       if (!prediction.ok()) {
         WriteLine(entry.conn, FormatServeError(
                                   entry.request.id,
@@ -1115,8 +1072,7 @@ void InferenceServer::BatcherLoop() {
       if (WriteLine(entry.conn,
                     FormatServeResponse(entry.request.id,
                                         prediction.value(), latency_us))) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.responses;
+        AUTOAC_COUNTER_ADD("serve.responses", 1);
       }
       if (Telemetry::Enabled()) {
         Telemetry::Get().Emit(MetricRecord("serve_request")
@@ -1140,16 +1096,6 @@ void InferenceServer::BatcherLoop() {
     }
     service_us = NowMicros() - dispatch_start_us;
   }
-}
-
-ServeStats InferenceServer::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  ServeStats out = stats_;
-  // Soft chaos triggers are counted process-wide by the fault layer (the
-  // SendAll site has no server to report to); surface them here so the
-  // shutdown audit can assert every armed site fired and was contained.
-  out.faults_injected = FaultTriggersObserved();
-  return out;
 }
 
 }  // namespace autoac

@@ -155,31 +155,6 @@ struct ServerOptions {
   std::function<int64_t()> clock;
 };
 
-/// Counters published by the server (also emitted as telemetry records when
-/// the telemetry sink is on).
-struct ServeStats {
-  int64_t connections = 0;
-  int64_t requests = 0;          // parsed OK and enqueued
-  int64_t responses = 0;         // success responses written
-  int64_t malformed = 0;         // parse failures (error response written)
-  int64_t unknown_model = 0;     // "model" key named no hosted model
-  int64_t overlong_lines = 0;    // read-buffer bound hit, connection dropped
-  int64_t shed = 0;              // evicted/rejected on overload
-  int64_t deadline_expired = 0;  // expired in queue, never reached Predict
-  int64_t write_errors = 0;      // response writes that failed after retries
-  int64_t batches = 0;           // inference batches executed
-  int64_t batched_requests = 0;  // sum of batch sizes (occupancy numerator)
-  int64_t mutations_applied = 0;     // graph deltas validated and applied
-  int64_t dirty_rows = 0;            // logits rows the deltas marked dirty
-  int64_t partial_forward_rows = 0;  // rows recomputed via the partial path
-  int64_t rate_limited = 0;      // admission-control rejections
-  int64_t idle_closed = 0;       // connections reaped by idle_timeout_ms
-  int64_t conns_refused = 0;     // accepts refused by the max_conns gate
-  int64_t inflight_rejected = 0;  // per-connection in-flight cap rejections
-  int64_t reload_failures = 0;   // failed hot reloads (old set kept serving)
-  int64_t faults_injected = 0;   // soft chaos sites that fired (process-wide)
-};
-
 /// Batched request/response front-end over a ModelRegistry (DESIGN.md §10).
 /// One reader thread per connection parses request lines, resolves the
 /// "model" key to a session (pinning it: a hot reload swaps the registry
@@ -204,6 +179,10 @@ struct ServeStats {
 /// Shutdown is cooperative: Serve() returns once ShutdownRequested()
 /// (util/shutdown.h) or Stop() is observed; in-flight requests are drained,
 /// responses flushed, and every thread joined before Serve() returns.
+///
+/// Events are counted in the process-wide telemetry registry as
+/// `serve.<event>` counters (DESIGN.md §8), bumped where they happen; every
+/// server in a process adds to the same counters.
 class InferenceServer {
  public:
   InferenceServer(ModelRegistry* registry, ServerOptions options);
@@ -227,13 +206,6 @@ class InferenceServer {
   /// Actual TCP port after Start() (== options.tcp_port unless 0 requested
   /// an ephemeral port); -1 for unix-domain servers.
   int port() const { return port_; }
-
-  /// Counts a failed hot reload (satellite of DESIGN.md §13): the registry
-  /// kept the old serving set, the operator sees the count in stats and
-  /// telemetry. Called by whoever drives reloads (the CLI's SIGHUP path).
-  void NoteReloadFailure();
-
-  ServeStats stats() const;
 
  private:
   struct Connection {
@@ -301,7 +273,6 @@ class InferenceServer {
   /// perturb interactive fairness across models.
   std::string rr_interactive_;
   std::string rr_batch_;
-  ServeStats stats_;
   std::vector<uint64_t> finished_readers_;  // ids awaiting join; under mu_
   std::vector<std::shared_ptr<Connection>> connections_;  // live; under mu_
 

@@ -51,8 +51,10 @@ SpecTable* ParseSpecTable(const std::string& env) {
 
 /// The active table. Swapped only by SetFaultSpecForTest (under a mutex);
 /// readers load it with acquire so a swapped-in table's entries are
-/// visible. Old tables are intentionally leaked — a call site may still be
-/// reading one, and tests swap a handful of times at most.
+/// visible. Replaced tables are never freed — a call site may still be
+/// reading one, and tests swap a handful of times at most — but they stay
+/// reachable from SetFaultSpecForTest's retired list, so a leak checker
+/// does not report them.
 std::atomic<SpecTable*>& ActiveTable() {
   static std::atomic<SpecTable*> table{[]() -> SpecTable* {
     const char* env = std::getenv("AUTOAC_FAULT_INJECT");
@@ -142,8 +144,11 @@ int64_t FaultTriggersObserved() {
 
 void SetFaultSpecForTest(const std::string& spec) {
   static std::mutex mu;
+  // Never destroyed, so no table is freed under a late reader at exit.
+  static auto* const retired = new std::vector<SpecTable*>();
   std::lock_guard<std::mutex> lock(mu);
-  ActiveTable().store(ParseSpecTable(spec), std::memory_order_release);
+  retired->push_back(ActiveTable().exchange(ParseSpecTable(spec),
+                                            std::memory_order_acq_rel));
 }
 
 }  // namespace autoac

@@ -185,16 +185,22 @@ Gauge& Telemetry::GetGauge(std::string_view name) {
   return *it->second;
 }
 
+std::vector<std::pair<std::string, int64_t>> Telemetry::CounterValues() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::pair<std::string, int64_t>> counters;
+  for (const auto& [name, counter] : counters_) {
+    counters.emplace_back(name, counter->value());
+  }
+  return counters;
+}
+
 void Telemetry::EmitRegistrySnapshot() {
   if (!Enabled()) return;
   // Snapshot under the lock, emit outside it (Emit re-locks).
-  std::vector<std::pair<std::string, int64_t>> counters;
+  std::vector<std::pair<std::string, int64_t>> counters = CounterValues();
   std::vector<std::pair<std::string, double>> gauges;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [name, counter] : counters_) {
-      counters.emplace_back(name, counter->value());
-    }
     for (const auto& [name, gauge] : gauges_) {
       gauges.emplace_back(name, gauge->value());
     }
@@ -205,12 +211,6 @@ void Telemetry::EmitRegistrySnapshot() {
   for (const auto& [name, value] : gauges) {
     Emit(MetricRecord("gauge").Add("name", name).Add("value", value));
   }
-}
-
-void Telemetry::ResetRegistryForTest() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.clear();
-  gauges_.clear();
 }
 
 bool InitTelemetryFromFlag(const std::string& metrics_out) {

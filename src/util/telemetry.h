@@ -9,6 +9,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 // Process-wide metrics registry and structured JSONL sink.
 //
@@ -120,18 +122,18 @@ class Telemetry {
 
   void Flush();
 
-  /// Name-keyed registries. The returned references are stable for the
-  /// process lifetime, so hot call sites can cache them.
+  /// Name-keyed registries. Metrics are never unregistered, so the
+  /// returned references are stable for the process lifetime and hot call
+  /// sites cache them (AUTOAC_COUNTER_ADD).
   Counter& GetCounter(std::string_view name);
   Gauge& GetGauge(std::string_view name);
+
+  /// (name, value) of every registered counter, sorted by name.
+  std::vector<std::pair<std::string, int64_t>> CounterValues();
 
   /// Emits one "counter" / "gauge" record per registered metric —
   /// the end-of-run snapshot.
   void EmitRegistrySnapshot();
-
-  /// Test hook: drops all registered counters/gauges (invalidates
-  /// references previously returned by GetCounter/GetGauge).
-  void ResetRegistryForTest();
 
  private:
   Telemetry() = default;
@@ -144,6 +146,18 @@ class Telemetry {
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
 };
+
+/// Adds `delta` to the registry counter `name`. The Counter& is resolved
+/// once per call site (function-local static, like AUTOAC_PROFILE_SCOPE),
+/// so each bump is one relaxed atomic add with no registry lookup. Counts
+/// whether or not the sink is on; the sink only decides whether the
+/// shutdown snapshot is written.
+#define AUTOAC_COUNTER_ADD(name, delta)                        \
+  do {                                                         \
+    static ::autoac::Counter& autoac_counter_ =                \
+        ::autoac::Telemetry::Get().GetCounter(name);           \
+    autoac_counter_.Increment(delta);                          \
+  } while (0)
 
 /// Shared binary setup: enables the JSONL sink from a --metrics_out flag
 /// value (empty string = flag unset, fall back to AUTOAC_METRICS_OUT) and

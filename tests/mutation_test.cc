@@ -18,19 +18,24 @@
 #include "completion/completion_module.h"
 #include "graph/mutable_graph.h"
 #include "models/factory.h"
+#include "serving/feed.h"
 #include "serving/frozen_model.h"
 #include "serving/inference_session.h"
+#include "serving/model_registry.h"
 #include "serving/mutable_session.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/telemetry.h"
 
 namespace autoac {
 namespace {
 
 void ExpectTensorsBitwiseEqual(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(a.SameShape(b));
+  // An empty tensor may have a null data(); memcmp must not see it.
+  if (a.numel() == 0) return;
   ASSERT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<size_t>(a.numel()) * sizeof(float)),
             0);
@@ -363,6 +368,28 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::string>& info) {
       return info.param;
     });
+
+// A startup --mutation_feed delta counts the rows its partial flush
+// recomputed in the process-wide counter at once: no request has to reach
+// the overlay afterwards for them to show.
+TEST(MutationCounterTest, StartupFeedCountsPartialRowsWithoutARequest) {
+  ModelRegistry registry;
+  registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
+  registry.Register("ring", std::make_shared<InferenceSession>(
+                                MakeFrozen("SimpleHGN", RingGraph(),
+                                           MixedOps)));
+  Counter& partial_rows =
+      Telemetry::Get().GetCounter("mutable.partial_forward_rows");
+  int64_t before = partial_rows.value();
+  FeedReplayReport report = ReplayMutationFeed(
+      &registry,
+      {"{\"op\": \"add_edge\", \"edge\": \"it\", \"src\": 3, \"dst\": 10}"});
+  ASSERT_EQ(report.applied, 1);
+  std::shared_ptr<MutableSession> overlay = registry.LookupMutable("ring");
+  ASSERT_NE(overlay, nullptr);
+  EXPECT_GT(overlay->partial_forward_rows(), 0);
+  EXPECT_EQ(partial_rows.value() - before, overlay->partial_forward_rows());
+}
 
 TEST(MutationEquivalenceTest, PpnpCompletionUsesItsPropagationRadius) {
   Harness h("SimpleHGN", RingGraph(), AllPpnp);

@@ -46,6 +46,7 @@
 #include "util/flags.h"
 #include "util/parallel.h"
 #include "util/shutdown.h"
+#include "util/telemetry.h"
 
 namespace autoac {
 namespace {
@@ -66,10 +67,32 @@ int64_t CountMissing(const HeteroGraph& graph) {
 
 void ExpectTensorsBitwiseEqual(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(a.SameShape(b));
+  // An empty tensor may have a null data(); memcmp must not see it.
+  if (a.numel() == 0) return;
   ASSERT_EQ(std::memcmp(a.data(), b.data(),
                         static_cast<size_t>(a.numel()) * sizeof(float)),
             0);
 }
+
+/// The registry's counters (DESIGN.md §8) as deltas from construction.
+/// Every server, registry and overlay in this binary adds to the same
+/// process-wide counters, so a test reads what it caused as a delta.
+class CounterDeltas {
+ public:
+  CounterDeltas() {
+    for (const auto& [name, value] : Telemetry::Get().CounterValues()) {
+      base_[name] = value;
+    }
+  }
+  int64_t operator()(const std::string& name) const {
+    auto it = base_.find(name);
+    return Telemetry::Get().GetCounter(name).value() -
+           (it == base_.end() ? 0 : it->second);
+  }
+
+ private:
+  std::map<std::string, int64_t> base_;
+};
 
 /// A frozen model with the same graph/weights but a perturbed classifier
 /// bias (and the matching recomputed fingerprint): a valid, loadable
@@ -934,6 +957,7 @@ TEST(ServeProtocolTest, ResponseFormatting) {
 // out-of-range requests each get the right response line, the stats
 // counters add up, and Stop() quiesces the server.
 TEST(InferenceServerTest, EndToEndOverLoopbackTcp) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -993,13 +1017,13 @@ TEST(InferenceServerTest, EndToEndOverLoopbackTcp) {
 
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.connections, 1);
-  EXPECT_EQ(stats.requests, 3);   // parsed OK (incl. the out-of-range node)
-  EXPECT_EQ(stats.responses, 2);  // successful predictions only
-  EXPECT_EQ(stats.malformed, 1);
-  EXPECT_EQ(stats.shed, 0);
-  EXPECT_EQ(stats.batched_requests, 3);
+  EXPECT_EQ(counts("serve.connections"), 1);
+  // Parsed OK, including the out-of-range node.
+  EXPECT_EQ(counts("serve.requests"), 3);
+  EXPECT_EQ(counts("serve.responses"), 2);  // successful predictions only
+  EXPECT_EQ(counts("serve.malformed"), 1);
+  EXPECT_EQ(counts("serve.shed"), 0);
+  EXPECT_EQ(counts("serve.batched_requests"), 3);
 }
 
 // Serve() also honors the process-wide cooperative shutdown flag.
@@ -1098,6 +1122,7 @@ TEST(ModelRegistryTest, ReloadSwapsChangedArtifactsOnly) {
 // single-model servers answer, request for request, bitwise (same
 // formatted label/score; latency stripped).
 TEST(ModelRegistryTest, TwoModelRoutingMatchesSingleModelServers) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   FrozenModel frozen_a = env.frozen();
   FrozenModel frozen_b = MakeVariantFrozen(frozen_a, 6.0f);
@@ -1170,7 +1195,7 @@ TEST(ModelRegistryTest, TwoModelRoutingMatchesSingleModelServers) {
   serve_a.join();
   serve_b.join();
   serve_multi.join();
-  EXPECT_EQ(server_multi.stats().unknown_model, 1);
+  EXPECT_EQ(counts("serve.unknown_model"), 1);
 }
 
 // Hot reload: overwriting an artifact and calling Reload() (what SIGHUP
@@ -1178,6 +1203,7 @@ TEST(ModelRegistryTest, TwoModelRoutingMatchesSingleModelServers) {
 // in flight across the swap still gets answered — zero drops — from
 // either the old or the new session, never garbage.
 TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   std::string path = TempPath("reload_model.aacm");
   FrozenModel frozen_a = env.frozen();
@@ -1261,11 +1287,10 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
   ::close(fd);
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.requests, kBefore + kBurst + 1);
-  EXPECT_EQ(stats.responses, kBefore + kBurst + 1);
-  EXPECT_EQ(stats.shed, 0);
-  EXPECT_EQ(stats.deadline_expired, 0);
+  EXPECT_EQ(counts("serve.requests"), kBefore + kBurst + 1);
+  EXPECT_EQ(counts("serve.responses"), kBefore + kBurst + 1);
+  EXPECT_EQ(counts("serve.shed"), 0);
+  EXPECT_EQ(counts("serve.deadline_expired"), 0);
   std::remove(path.c_str());
 }
 
@@ -1293,6 +1318,7 @@ struct BatcherGate {
 // A request whose deadline expires while queued gets the distinct
 // "deadline exceeded" error and never reaches Predict.
 TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -1320,10 +1346,11 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
       "{\"id\": \"late\", \"node\": 0, \"deadline_ms\": 0}\n"
       "{\"id\": \"fine\", \"node\": 1, \"deadline_ms\": 60000}\n";
   ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
-  for (int waited = 0; waited < 200 && server.stats().requests < 3; ++waited) {
+  for (int waited = 0; waited < 200 && counts("serve.requests") < 3;
+       ++waited) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_EQ(server.stats().requests, 3);
+  ASSERT_EQ(counts("serve.requests"), 3);
   gate.release.set_value();
   auto by_id = ById(RecvLines(fd, 3));
   ::close(fd);
@@ -1337,12 +1364,11 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
 
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 3);
-  EXPECT_EQ(stats.deadline_expired, 1);
+  EXPECT_EQ(counts("serve.requests"), 3);
+  EXPECT_EQ(counts("serve.deadline_expired"), 1);
   // The expired request was never part of an inference batch.
-  EXPECT_EQ(stats.batched_requests, 2);
-  EXPECT_EQ(stats.responses, 2);
+  EXPECT_EQ(counts("serve.batched_requests"), 2);
+  EXPECT_EQ(counts("serve.responses"), 2);
 }
 
 // Overload eviction: when the queue is full, the newest request of the
@@ -1350,6 +1376,7 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
 // arrival regardless of source (pre-PR tail-drop would punish the
 // well-behaved second connection for the first one's flood).
 TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -1381,10 +1408,11 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
     flood += "{\"id\": \"f" + std::to_string(i) + "\", \"node\": 0}\n";
   }
   ASSERT_TRUE(SendAll(flood_fd, flood.data(), flood.size()));
-  for (int waited = 0; waited < 200 && server.stats().requests < 5; ++waited) {
+  for (int waited = 0; waited < 200 && counts("serve.requests") < 5;
+       ++waited) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_EQ(server.stats().requests, 5);  // prime + f0..f3
+  ASSERT_EQ(counts("serve.requests"), 5);  // prime + f0..f3
 
   // ...and the late arrival from a quiet connection still gets served,
   // displacing the flooder's newest request.
@@ -1419,9 +1447,8 @@ TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
   ::close(victim_fd);
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.shed, 1);
-  EXPECT_EQ(stats.responses, 5);  // prime + f0..f2 + v
+  EXPECT_EQ(counts("serve.shed"), 1);
+  EXPECT_EQ(counts("serve.responses"), 5);  // prime + f0..f2 + v
 }
 
 // Stop() must wake a batcher blocked in its untimed wait: an idle server
@@ -1459,6 +1486,7 @@ TEST(InferenceServerTest, IdleStartStopReturnsPromptly) {
 // thread) per past connection: disconnected connections are pruned, their
 // fds closed, their reader threads reaped.
 TEST(InferenceServerTest, FdCountStableAcrossConnectionChurn) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -1498,13 +1526,14 @@ TEST(InferenceServerTest, FdCountStableAcrossConnectionChurn) {
 
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().connections, 101);
+  EXPECT_EQ(counts("serve.connections"), 101);
 }
 
 // A client streaming bytes with no newline must not grow the read buffer
 // without limit: at max_line_bytes it gets a malformed-request error and
 // the connection is dropped.
 TEST(InferenceServerTest, OverlongLineGetsErrorAndDropsConnection) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -1535,9 +1564,8 @@ TEST(InferenceServerTest, OverlongLineGetsErrorAndDropsConnection) {
 
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.overlong_lines, 1);
-  EXPECT_EQ(stats.requests, 0);
+  EXPECT_EQ(counts("serve.overlong_lines"), 1);
+  EXPECT_EQ(counts("serve.requests"), 0);
 }
 
 // --- streaming graph mutations (DESIGN.md §12) -------------------------------
@@ -1743,6 +1771,7 @@ int64_t NodeTypeIdOrDie(const HeteroGraph& graph, const std::string& name) {
 // delta is bitwise identical to a from-scratch re-export
 // (RefreezeWithGraph) of the mutated graph.
 TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
@@ -1814,17 +1843,17 @@ TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
 
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 8);
-  EXPECT_EQ(stats.responses, 8);
-  EXPECT_EQ(stats.mutations_applied, 4);
-  EXPECT_GT(stats.dirty_rows, 0);
+  EXPECT_EQ(counts("serve.requests"), 8);
+  EXPECT_EQ(counts("serve.responses"), 8);
+  EXPECT_EQ(counts("serve.mutations_applied"), 4);
+  EXPECT_GT(counts("serve.dirty_rows"), 0);
 }
 
 // Satellite: mutations with malformed node/edge types (and other invalid
 // deltas) are answered with distinct errors, never applied, and leave the
 // server healthy.
 TEST(InferenceServerTest, MalformedMutationsGetDistinctErrors) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
@@ -1867,14 +1896,14 @@ TEST(InferenceServerTest, MalformedMutationsGetDistinctErrors) {
 
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.mutations_applied, 0);
-  EXPECT_EQ(stats.dirty_rows, 0);
-  EXPECT_EQ(stats.requests, 5);   // all parsed fine
-  EXPECT_EQ(stats.responses, 1);  // only the prediction succeeded
+  EXPECT_EQ(counts("serve.mutations_applied"), 0);
+  EXPECT_EQ(counts("serve.dirty_rows"), 0);
+  EXPECT_EQ(counts("serve.requests"), 5);   // all parsed fine
+  EXPECT_EQ(counts("serve.responses"), 1);  // only the prediction succeeded
 }
 
 TEST(InferenceServerTest, MutationsDisabledIsADistinctError) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;  // no set_mutation_options
   registry.Register("default",
@@ -1897,13 +1926,14 @@ TEST(InferenceServerTest, MutationsDisabledIsADistinctError) {
       << lines[0];
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().mutations_applied, 0);
+  EXPECT_EQ(counts("serve.mutations_applied"), 0);
 }
 
 // Satellite: a v1 artifact (no completion section) refusing a mutation must
 // answer with the machine-readable reason "artifact_v1_immutable" plus the
 // re-export hint, so feeders stop retrying without string-matching prose.
 TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   FrozenModel v1 = env.frozen();
   v1.has_completion = false;
@@ -1941,12 +1971,13 @@ TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
   EXPECT_NE(by_id["r0"].find("\"label\":"), std::string::npos) << by_id["r0"];
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().mutations_applied, 0);
+  EXPECT_EQ(counts("serve.mutations_applied"), 0);
 }
 
 // A burst of predictions pinned to the same session drains in batches, and
 // every answer is bitwise what the in-process session produces.
 TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -1981,8 +2012,7 @@ TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
 
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.responses, kRequests);
+  EXPECT_EQ(counts("serve.responses"), kRequests);
 }
 
 // Satellite: a delta racing a model swap. An unchanged-fingerprint reload
@@ -2169,6 +2199,7 @@ TEST(AdmissionTest, ControllerBoundsDistinctClients) {
 // refill, so rps=1/burst=2 admits exactly two requests and rejects the
 // rest with the exact 1000ms retry hint — regardless of scheduling.
 TEST(InferenceServerTest, RateLimitingOverSocketIsDeterministic) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2218,15 +2249,15 @@ TEST(InferenceServerTest, RateLimitingOverSocketIsDeterministic) {
 
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.rate_limited, 3);
-  EXPECT_EQ(stats.requests, 2);
-  EXPECT_EQ(stats.responses, 2);
+  EXPECT_EQ(counts("serve.rate_limited"), 3);
+  EXPECT_EQ(counts("serve.requests"), 2);
+  EXPECT_EQ(counts("serve.responses"), 2);
 }
 
 // The "client" key is one quota spanning connections; absent, each
 // connection is its own identity.
 TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2270,12 +2301,13 @@ TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
 
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().rate_limited, 1);
+  EXPECT_EQ(counts("serve.rate_limited"), 1);
 }
 
 // Under saturation, queued interactive requests drain before queued batch
 // requests even when the batch requests arrived first.
 TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2313,10 +2345,11 @@ TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
   ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
   // All six must be queued before the batcher resumes, or the early batch
   // arrivals would drain into the first batch unopposed.
-  for (int waited = 0; waited < 200 && server.stats().requests < 7; ++waited) {
+  for (int waited = 0; waited < 200 && counts("serve.requests") < 7;
+       ++waited) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  ASSERT_EQ(server.stats().requests, 7);  // prime + 6 staged
+  ASSERT_EQ(counts("serve.requests"), 7);  // prime + 6 staged
   gate.release.set_value();
 
   std::vector<std::string> lines = RecvLines(fd, 6);
@@ -2354,6 +2387,7 @@ TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
 // incoming batch request sheds itself rather than displacing anything
 // more important.
 TEST(InferenceServerTest, BatchAbsorbsEvictionBeforeInteractive) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2418,12 +2452,17 @@ TEST(InferenceServerTest, BatchAbsorbsEvictionBeforeInteractive) {
 
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().shed, 2);
+  EXPECT_EQ(counts("serve.shed"), 2);
+  // Shed requests are requests too: every one is answered, shed or expired.
+  EXPECT_EQ(counts("serve.requests"),
+            counts("serve.responses") + counts("serve.shed") +
+                counts("serve.deadline_expired"));
 }
 
 // A full queue of interactive work never yields to an incoming batch
 // request: the batch request itself is shed.
 TEST(InferenceServerTest, IncomingBatchNeverDisplacesQueuedInteractive) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2471,13 +2510,17 @@ TEST(InferenceServerTest, IncomingBatchNeverDisplacesQueuedInteractive) {
 
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().shed, 1);
+  EXPECT_EQ(counts("serve.shed"), 1);
+  EXPECT_EQ(counts("serve.requests"),
+            counts("serve.responses") + counts("serve.shed") +
+                counts("serve.deadline_expired"));
 }
 
 // The per-connection in-flight cap rejects the overflow request on the
 // flooding connection with a structured inflight_limit rejection; the
 // capped requests still complete.
 TEST(InferenceServerTest, InflightCapRejectsPerConnection) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2527,12 +2570,13 @@ TEST(InferenceServerTest, InflightCapRejectsPerConnection) {
 
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().inflight_rejected, 1);
+  EXPECT_EQ(counts("serve.inflight_rejected"), 1);
 }
 
 // Slow-loris defense: a connection that never sends anything is answered
 // with a structured idle_timeout rejection and closed.
 TEST(InferenceServerTest, IdleConnectionsAreReaped) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2558,11 +2602,12 @@ TEST(InferenceServerTest, IdleConnectionsAreReaped) {
 
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().idle_closed, 1);
+  EXPECT_EQ(counts("serve.idle_closed"), 1);
 }
 
 // An active connection survives idle reaping as long as it keeps talking.
 TEST(InferenceServerTest, ActiveConnectionOutlivesIdleTimeout) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2586,14 +2631,15 @@ TEST(InferenceServerTest, ActiveConnectionOutlivesIdleTimeout) {
   ::close(fd);
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().idle_closed, 0);
-  EXPECT_EQ(server.stats().responses, 4);
+  EXPECT_EQ(counts("serve.idle_closed"), 0);
+  EXPECT_EQ(counts("serve.responses"), 4);
 }
 
 // The accept gate refuses connections beyond max_conns with a structured
 // refusal instead of letting them queue invisibly; a freed slot admits new
 // connections again.
 TEST(InferenceServerTest, MaxConnsRefusesThenRecovers) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
@@ -2643,7 +2689,7 @@ TEST(InferenceServerTest, MaxConnsRefusesThenRecovers) {
 
   server.Stop();
   serving.join();
-  EXPECT_GE(server.stats().conns_refused, 1);
+  EXPECT_GE(counts("serve.conns_refused"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -2706,7 +2752,6 @@ void RunChaosTraffic(const std::string& spec, int requests,
   }
   EXPECT_GT(FaultTriggersObserved(), triggers_before)
       << spec << " never fired";
-  EXPECT_GT(server.stats().faults_injected, triggers_before);
 
   // The chaos connection's fds are reaped like any other.
   int settled = -1;
@@ -2746,6 +2791,7 @@ TEST(ChaosTest, MidBatchReloadKeepsPinnedSessionsServing) {
 // rejection; the server keeps serving and counters stay consistent
 // (nothing applied, no dirty rows from the failed delta).
 TEST(ChaosTest, MutationApplyFaultIsContained) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
@@ -2757,6 +2803,7 @@ TEST(ChaosTest, MutationApplyFaultIsContained) {
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
+  int64_t triggers_before = FaultTriggersObserved();
   SetFaultSpecForTest("serve_mutation_apply:0");
 
   int fd = ConnectLoopback(server.port());
@@ -2781,14 +2828,15 @@ TEST(ChaosTest, MutationApplyFaultIsContained) {
 
   server.Stop();
   serving.join();
-  ServeStats stats = server.stats();
-  EXPECT_EQ(stats.mutations_applied, 1);
-  EXPECT_GT(stats.faults_injected, 0);
+  EXPECT_EQ(counts("serve.mutations_applied"), 1);
+  EXPECT_GT(FaultTriggersObserved(), triggers_before);
 }
 
 // Satellite: a failed hot reload must leave the old serving set untouched
-// — same predictions before and after — and be visible as reload_failures.
+// — same predictions before and after — and Reload() itself must count it
+// in serve.reload_failures.
 TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
+  CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   std::string path = TempPath("failed_reload.aacm");
   ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
@@ -2818,7 +2866,6 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
   }
   StatusOr<ModelRegistry::ReloadReport> reload = registry.Reload();
   ASSERT_FALSE(reload.ok());
-  server.NoteReloadFailure();
 
   ASSERT_TRUE(SendAll(fd, line.data(), line.size()));
   std::vector<std::string> after = RecvLines(fd, 1);
@@ -2828,7 +2875,7 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
 
   server.Stop();
   serving.join();
-  EXPECT_EQ(server.stats().reload_failures, 1);
+  EXPECT_EQ(counts("serve.reload_failures"), 1);
 }
 
 // Satellite: malformed mutation-feed lines are skipped and counted with
