@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "compiler/compiled_graph.h"
 #include "completion/completion_module.h"
 #include "data/hgb_datasets.h"
 #include "models/factory.h"
@@ -25,7 +24,6 @@
 #include "serving/model_registry.h"
 #include "serving/mutable_session.h"
 #include "serving/server.h"
-#include "tensor/graph_ir.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/quantize.h"
@@ -36,9 +34,9 @@ namespace autoac {
 namespace {
 
 /// Attaches the hardware-independent allocation signal to a benchmark run:
-/// heap tensor buffers acquired per iteration of the timed loop. The
-/// compiled forward must report 0.0 here (everything lives in the
-/// preplanned arena); check_bench_regression.py gates on it.
+/// heap tensor buffers acquired per iteration of the timed loop.
+/// check_bench_regression.py caps it per benchmark (BENCH_serving.json
+/// alloc_gate).
 class AllocCounterScope {
  public:
   explicit AllocCounterScope(benchmark::State& state)
@@ -186,54 +184,6 @@ void BM_EvalForwardTapeFree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EvalForwardTapeFree)->ArgsProduct({{1, 2, 4, 8}});
-
-/// The same forward compiled ahead of time (DESIGN.md §11): IR capture,
-/// pass pipeline (folding, fusion, in-place), arena planner. The ratio to
-/// BM_EvalForwardTapeFree at 1 thread is the compiler's payoff, and
-/// tensor_allocs_per_iter must come out 0.0 — the gated proof that steady
-/// state runs entirely out of the preplanned arena.
-void BM_EvalForwardCompiled(benchmark::State& state) {
-  ThreadCountScope threads(state.range(0));
-  FrozenModel& frozen = BenchFrozen();
-  ModelContext& ctx = BenchContext();
-  ModelConfig config;
-  config.in_dim = frozen.hidden_dim;
-  config.hidden_dim = frozen.hidden_dim;
-  config.out_dim = frozen.hidden_dim;
-  config.num_layers = frozen.num_layers;
-  config.num_heads = frozen.num_heads;
-  config.dropout = frozen.dropout;
-  config.negative_slope = frozen.negative_slope;
-  Rng rng(frozen.seed);
-  ModelPtr model = MakeModel(frozen.model_name, config, ctx, rng,
-                             /*l2_normalize_output=*/false);
-  ir::Graph graph;
-  {
-    IrCapture capture;
-    VarPtr h0 = MakeConst(frozen.h0);
-    capture.MarkInput(h0, "h0");
-    VarPtr h = model->Forward(ctx, h0, /*training=*/false, rng);
-    VarPtr logits = AddBias(MatMul(h, MakeConst(frozen.classifier_weight)),
-                            MakeConst(frozen.classifier_bias));
-    graph = capture.Finish(logits);
-  }
-  StatusOr<compiler::CompiledGraph> compiled =
-      compiler::CompiledGraph::Compile(std::move(graph));
-  if (!compiled.ok()) {
-    state.SkipWithError(compiled.status().message().c_str());
-    return;
-  }
-  compiler::CompiledGraph cg = compiled.TakeValue();
-  std::vector<const Tensor*> inputs = {&frozen.h0};
-  Tensor out;
-  cg.Run(inputs, &out);  // size the output buffer outside the timed loop
-  AllocCounterScope allocs(state);
-  for (auto _ : state) {
-    cg.Run(inputs, &out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_EvalForwardCompiled)->ArgsProduct({{1, 2, 4, 8}});
 
 /// InferenceSession's cache refresh (the cost of serving a graph update).
 void BM_RecomputeLogits(benchmark::State& state) {

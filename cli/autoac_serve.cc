@@ -37,6 +37,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -86,8 +87,6 @@ const std::vector<Flags::Spec>& FlagTable() {
       {"max_inflight_per_conn", Type::kInt},
       {"num_threads", Type::kInt},
       {"metrics_out", Type::kString},
-      {"no_compile", Type::kBool},
-      {"dump_ir", Type::kBool},
       {"enable_mutations", Type::kBool},
       {"staleness_ms", Type::kInt},
       {"mutation_feed", Type::kString},
@@ -124,11 +123,6 @@ void PrintUsage() {
       "  [--max_inflight_per_conn=0] per-connection queued-request cap\n"
       "  [--num_threads=N]       forward-pass threads (0 = default)\n"
       "  [--metrics_out=PATH]    JSONL telemetry (latency, batch occupancy)\n"
-      "  [--no_compile]          skip the graph compiler; run every forward\n"
-      "                          through the interpreted tape-free path\n"
-      "  [--dump_ir]             print each compiled model's forward IR\n"
-      "                          (classifier head included) + arena plan\n"
-      "                          after (re)load\n"
       "  [--enable_mutations]    accept streaming graph deltas (\"op\":\n"
       "                          add_node / add_edge / remove_edge) and\n"
       "                          serve incrementally recomputed answers\n"
@@ -163,19 +157,31 @@ void PrintUsage() {
       "SIGINT/SIGTERM stop the server cooperatively (exit status 0).\n");
 }
 
-std::vector<int64_t> ParseNodeList(const std::string& csv) {
-  std::vector<int64_t> nodes;
+/// Parses --nodes ("0,1,2"; empty entries are skipped). Every entry must be
+/// a whole base-10 integer; on the first one that is not, prints it and
+/// returns false.
+bool ParseNodeList(const Flags& flags, std::vector<int64_t>* nodes) {
+  const std::string csv = flags.GetString("nodes", "");
   size_t start = 0;
   while (start <= csv.size()) {
     size_t comma = csv.find(',', start);
     if (comma == std::string::npos) comma = csv.size();
     if (comma > start) {
-      nodes.push_back(std::strtoll(csv.substr(start, comma - start).c_str(),
-                                   nullptr, 10));
+      const char* begin = csv.data() + start;
+      const char* end = csv.data() + comma;
+      int64_t node = 0;
+      std::from_chars_result parsed = std::from_chars(begin, end, node);
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        std::fprintf(stderr,
+                     "error: --nodes entry \"%s\" is not an integer\n",
+                     std::string(begin, end).c_str());
+        return false;
+      }
+      nodes->push_back(node);
     }
     start = comma + 1;
   }
-  return nodes;
+  return true;
 }
 
 int Connect(const std::string& unix_path, int port) {
@@ -227,7 +233,8 @@ int RunClient(const Flags& flags) {
     std::fprintf(stderr, "error: --client needs --socket or --port\n");
     return 64;
   }
-  std::vector<int64_t> nodes = ParseNodeList(flags.GetString("nodes", ""));
+  std::vector<int64_t> nodes;
+  if (!ParseNodeList(flags, &nodes)) return 64;
   std::string feed_path = flags.GetString("feed", "");
   std::vector<std::string> feed;
   if (!feed_path.empty() && !ReadFeedLines(feed_path, &feed)) {
@@ -364,7 +371,8 @@ int RunReference(const Flags& flags) {
     std::fprintf(stderr, "error: --reference needs --model=PATH\n");
     return 64;
   }
-  std::vector<int64_t> nodes = ParseNodeList(flags.GetString("nodes", ""));
+  std::vector<int64_t> nodes;
+  if (!ParseNodeList(flags, &nodes)) return 64;
   if (nodes.empty()) {
     std::fprintf(stderr, "error: --reference needs --nodes=0,1,...\n");
     return 64;
@@ -414,9 +422,7 @@ int RunReference(const Flags& flags) {
     std::fprintf(stderr, "error: %s\n", refrozen.status().message().c_str());
     return 1;
   }
-  InferenceSession::Options session_options;
-  session_options.compile = false;
-  InferenceSession session(refrozen.TakeValue(), session_options);
+  InferenceSession session(refrozen.TakeValue());
   for (size_t i = 0; i < nodes.size(); ++i) {
     StatusOr<InferenceSession::Prediction> p = session.Predict(nodes[i]);
     if (!p.ok()) {
@@ -441,28 +447,9 @@ void PrintModelTable(const ModelRegistry& registry) {
   }
 }
 
-/// --dump_ir: per hosted model, the compiled IR listing + arena plan, or a
-/// note when the session runs interpreted (--no_compile, or the capture had
-/// an op without a replay kernel).
-void DumpCompiledIr(const ModelRegistry& registry) {
-  for (const ModelRegistry::ModelInfo& info : registry.Models()) {
-    std::shared_ptr<InferenceSession> session = registry.Lookup(info.name);
-    if (session == nullptr) continue;
-    const compiler::CompiledGraph* compiled = session->compiled_graph();
-    if (compiled == nullptr) {
-      std::printf("--- %s: not compiled (interpreted forward) ---\n",
-                  info.name.c_str());
-      continue;
-    }
-    std::printf("--- %s: compiled forward ---\n%s", info.name.c_str(),
-                compiled->Dump().c_str());
-  }
-  std::fflush(stdout);
-}
-
 /// A failed reload leaves the serving set unchanged; Reload() counts it in
 /// serve.reload_failures.
-void HandleSighupReload(ModelRegistry* registry, bool dump_ir) {
+void HandleSighupReload(ModelRegistry* registry) {
   std::printf("SIGHUP: re-reading artifact set\n");
   StatusOr<ModelRegistry::ReloadReport> report = registry->Reload();
   if (!report.ok()) {
@@ -489,7 +476,6 @@ void HandleSighupReload(ModelRegistry* registry, bool dump_ir) {
       join(r.unchanged).c_str(), r.removed.size(), join(r.removed).c_str());
   PrintModelTable(*registry);
   std::fflush(stdout);
-  if (dump_ir) DumpCompiledIr(*registry);
 }
 
 int Run(int argc, char** argv) {
@@ -527,15 +513,11 @@ int Run(int argc, char** argv) {
   InitTelemetryFromFlag(flags.GetString("metrics_out", ""));
 
   ModelRegistry registry;
-  InferenceSession::Options session_options;
-  session_options.compile = !flags.GetBool("no_compile", false);
-  registry.set_session_options(session_options);
   const std::string mutation_feed = flags.GetString("mutation_feed", "");
   const bool enable_mutations =
       flags.GetBool("enable_mutations", false) || !mutation_feed.empty();
   const int64_t staleness_ms = flags.GetInt("staleness_ms", 0);
   registry.set_mutation_options(enable_mutations, staleness_ms);
-  const bool dump_ir = flags.GetBool("dump_ir", false);
   // Single-artifact mode is multi-model mode with one entry named
   // "default"; the wire protocol is unchanged (requests without "model"
   // route to it).
@@ -546,7 +528,6 @@ int Run(int argc, char** argv) {
     return 1;
   }
   PrintModelTable(registry);
-  if (dump_ir) DumpCompiledIr(registry);
   {
     std::shared_ptr<InferenceSession> session = registry.Lookup("");
     std::printf("serving %lld models; default \"%s\": %lld target nodes, "
@@ -607,10 +588,10 @@ int Run(int argc, char** argv) {
   options.idle_timeout_ms = flags.GetInt("idle_timeout_ms", 0);
   options.max_conns = flags.GetInt("max_conns", 0);
   options.max_inflight_per_conn = flags.GetInt("max_inflight_per_conn", 0);
-  options.poll_hook = [&registry, dump_ir] {
+  options.poll_hook = [&registry] {
     if (!g_sighup_pending) return;
     g_sighup_pending = 0;
-    HandleSighupReload(&registry, dump_ir);
+    HandleSighupReload(&registry);
   };
   options.chaos_reload_hook = [&registry] {
     // Forced mid-batch reload (chaos site serve_mid_batch_reload): same

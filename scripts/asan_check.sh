@@ -14,7 +14,7 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "${BUILD_DIR}" -S . -DAUTOAC_ASAN=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
   --target serialization_test checkpoint_test telemetry_test util_test \
-           compiler_test serving_test mutation_test
+           serving_test mutation_test
 
 # Any sanitizer report fails the run loudly instead of being buried in
 # test output. detect_leaks needs ptrace, which some CI sandboxes deny;
@@ -26,9 +26,6 @@ export UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}"
 "${BUILD_DIR}/tests/checkpoint_test"
 "${BUILD_DIR}/tests/telemetry_test"
 "${BUILD_DIR}/tests/util_test"
-# Planner fuzz + arena executor: ASan proves no fuzzed memory plan ever
-# lets two live values overlap a slot or a kernel write past its arena.
-"${BUILD_DIR}/tests/compiler_test"
 # Serving: socket request lines, artifact bytes, chaos sites and reloads
 # (serving_test); graph deltas and the partial recompute that scatters
 # subgraph rows back into the overlay (mutation_test).

@@ -30,7 +30,8 @@
 #      scored added node, must be bitwise identical to `autoac_serve
 #      --reference`, the from-scratch re-export of the mutated graph. A
 #      delta guarded by the wrong expect_fingerprint must be refused with
-#      the distinct "fingerprint mismatch" error.
+#      the distinct "fingerprint mismatch" error, and a malformed --nodes
+#      entry must be a usage error (exit 64).
 #   8. Quantized artifacts (DESIGN.md §14): re-export the same training run
 #      with --quantize=int8, require the artifact to be materially smaller
 #      with a distinct stored fingerprint (it covers the decoded content),
@@ -450,6 +451,16 @@ diff <(strip_latency "${WORK}/mutated-live.log") \
   echo "FAIL: incremental answers differ from the from-scratch re-export" >&2
   exit 1
 }
+# A malformed --nodes entry is a usage error (exit 64) naming the entry,
+# not a silent 0 answered for it.
+status=0
+"${SERVE}" --reference --model="${MODEL}" --nodes=0,x \
+  >"${WORK}/bad-nodes.log" 2>&1 || status=$?
+if [ "${status}" -ne 64 ] || ! grep -q '"x"' "${WORK}/bad-nodes.log"; then
+  echo "FAIL: --reference --nodes=0,x exited ${status} (expected 64)" >&2
+  cat "${WORK}/bad-nodes.log" >&2
+  exit 1
+fi
 # ... and the mutations genuinely changed the answers (else the diff above
 # proved nothing): the probe of the original nodes must differ from the
 # pre-mutation single-model responses.

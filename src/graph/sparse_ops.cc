@@ -8,10 +8,8 @@
 #include "util/parallel.h"
 #include "util/profiler.h"
 
-// See ops_core.cc for the kernel-recording structure shared by all ops.
-// Sparse replay kernels capture the SpMatPtr by value; the same pointer is
-// exposed to the compiler through Attrs::handle (type-erased) so the fusion
-// pass can rebuild fused kernels around the same matrix.
+// See ops_core.cc for the structure shared by all ops. Backward closures
+// capture the SpMatPtr by value so the matrix outlives the forward call.
 
 namespace autoac {
 
@@ -32,7 +30,7 @@ int64_t SparseRowGrain(const Csr& csr, int64_t d) {
 /// over row i's nonzeros. Row-partitioned: each chunk owns a disjoint span of
 /// output rows. Empty rows are zero-filled explicitly and the first nonzero
 /// of a row assigns instead of accumulating, so `out` may hold garbage on
-/// entry (the arena executor recycles buffers).
+/// entry.
 void SpMMKernel(const Csr& csr, const float* x, float* out, int64_t d) {
   const int64_t* indptr = csr.indptr.data();
   const int64_t* indices = csr.indices.data();
@@ -63,58 +61,6 @@ void SpMMKernel(const Csr& csr, const float* x, float* out, int64_t d) {
 
 }  // namespace
 
-namespace internal {
-
-ir::Kernel MakeFusedSpmmKernel(SpMatPtr a, bool has_bias, Act act, int64_t d) {
-  return [a = std::move(a), has_bias, act, d](const Tensor* const* ins,
-                                              Tensor& out, float* /*scratch*/) {
-    AUTOAC_PROFILE_SCOPE("fused_spmm.forward");
-    const Csr& csr = a->forward();
-    const float* x = ins[0]->data();
-    const float* b = has_bias ? ins[1]->data() : nullptr;
-    float* po = out.data();
-    const int64_t* indptr = csr.indptr.data();
-    const int64_t* indices = csr.indices.data();
-    const float* values = csr.values.data();
-    // Row-partitioned like SpMMKernel. Each row finishes its sparse
-    // accumulation before the bias add; the activation runs last — every
-    // float op matches the unfused SpMM -> AddBias -> act chain, including
-    // the `0.0f + b[j]` an empty row sees through AddBias.
-    ParallelFor(0, csr.num_rows, SparseRowGrain(csr, d),
-                [=](int64_t row_begin, int64_t row_end) {
-                  for (int64_t i = row_begin; i < row_end; ++i) {
-                    int64_t begin = indptr[i];
-                    int64_t end = indptr[i + 1];
-                    float* orow = po + i * d;
-                    if (begin == end) {
-                      std::fill(orow, orow + d, 0.0f);
-                    } else {
-                      {
-                        float w = values[begin];
-                        const float* xrow = x + indices[begin] * d;
-                        for (int64_t j = 0; j < d; ++j) orow[j] = w * xrow[j];
-                      }
-                      for (int64_t k = begin + 1; k < end; ++k) {
-                        float w = values[k];
-                        const float* xrow = x + indices[k] * d;
-                        for (int64_t j = 0; j < d; ++j) orow[j] += w * xrow[j];
-                      }
-                    }
-                    if (b != nullptr) {
-                      for (int64_t j = 0; j < d; ++j) orow[j] = orow[j] + b[j];
-                    }
-                    if (act != Act::kNone) {
-                      for (int64_t j = 0; j < d; ++j) {
-                        orow[j] = ApplyAct(act, orow[j]);
-                      }
-                    }
-                  }
-                });
-  };
-}
-
-}  // namespace internal
-
 VarPtr SpMM(const SpMatPtr& a, const VarPtr& x) {
   AUTOAC_CHECK(a != nullptr);
   AUTOAC_CHECK_EQ(x->value.dim(), 2);
@@ -123,17 +69,10 @@ VarPtr SpMM(const SpMatPtr& a, const VarPtr& x) {
   int64_t m = csr.num_rows;
   int64_t d = x->value.cols();
   Tensor out(m, d);
-  auto kernel = [a, d](const Tensor* const* ins, Tensor& out,
-                       float* /*scratch*/) {
-    AUTOAC_PROFILE_SCOPE("spmm.forward");
-    SpMMKernel(a->forward(), ins[0]->data(), out.data(), d);
-  };
   {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
+    AUTOAC_PROFILE_SCOPE("spmm.forward");
+    SpMMKernel(a->forward(), x->value.data(), out.data(), d);
   }
-  internal::OpExtra extra;
-  extra.attrs.handle = a;
   return MakeOp(
       "SpMM", std::move(out), {x},
       [a, d](Variable& self) {
@@ -164,8 +103,7 @@ VarPtr SpMM(const SpMatPtr& a, const VarPtr& x) {
                         }
                       }
                     });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr EdgeSoftmaxAggregate(const SpMatPtr& a, const VarPtr& logits,
@@ -181,18 +119,15 @@ VarPtr EdgeSoftmaxAggregate(const SpMatPtr& a, const VarPtr& logits,
   int64_t d = h->value.cols();
   Tensor out(m, d);
   // Per-edge attention weights after the row-wise softmax; cached for the
-  // backward pass. On replay the weights land in the node's scratch buffer
-  // instead (scratch_numel = nnz). Each destination row owns a disjoint
-  // slice of the edge array, so the forward is row-partitioned with no
-  // shared writes.
+  // backward pass. Each destination row owns a disjoint slice of the edge
+  // array, so the forward is row-partitioned with no shared writes.
   std::vector<float> attention(csr.nnz());
-  auto kernel = [a, d](const Tensor* const* ins, Tensor& out, float* scratch) {
+  {
     AUTOAC_PROFILE_SCOPE("edge_softmax.forward");
-    const Csr& csr = a->forward();
-    const float* pl = ins[0]->data();
-    const float* ph = ins[1]->data();
+    const float* pl = logits->value.data();
+    const float* ph = h->value.data();
     float* po = out.data();
-    float* pattn = scratch;
+    float* pattn = attention.data();
     const int64_t* indptr = csr.indptr.data();
     const int64_t* indices = csr.indices.data();
     ParallelFor(0, csr.num_rows, SparseRowGrain(csr, d + 2),
@@ -221,14 +156,7 @@ VarPtr EdgeSoftmaxAggregate(const SpMatPtr& a, const VarPtr& logits,
                     }
                   }
                 });
-  };
-  {
-    const Tensor* ins[] = {&logits->value, &h->value};
-    kernel(ins, out, attention.data());
   }
-  internal::OpExtra extra;
-  extra.attrs.handle = a;
-  extra.scratch_numel = csr.nnz();
   return MakeOp(
       "EdgeSoftmaxAggregate", std::move(out), {logits, h},
       [a, d, attention = std::move(attention)](Variable& self) {
@@ -297,8 +225,7 @@ VarPtr EdgeSoftmaxAggregate(const SpMatPtr& a, const VarPtr& logits,
                 }
               });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr GatherEdgeSrc(const SpMatPtr& a, const VarPtr& x) {
@@ -306,22 +233,15 @@ VarPtr GatherEdgeSrc(const SpMatPtr& a, const VarPtr& x) {
   AUTOAC_CHECK_EQ(x->value.dim(), 1);
   AUTOAC_CHECK_EQ(x->value.numel(), csr.num_cols);
   Tensor out({csr.nnz()});
-  auto kernel = [a](const Tensor* const* ins, Tensor& out, float* /*scratch*/) {
+  {
     AUTOAC_PROFILE_SCOPE("gather_edge_src.forward");
-    const Csr& csr = a->forward();
-    const float* px = ins[0]->data();
+    const float* px = x->value.data();
     float* po = out.data();
     const int64_t* indices = csr.indices.data();
     ParallelFor(0, csr.nnz(), kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t k = lo; k < hi; ++k) po[k] = px[indices[k]];
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.handle = a;
   return MakeOp(
       "GatherEdgeSrc", std::move(out), {x},
       [a](Variable& self) {
@@ -344,8 +264,7 @@ VarPtr GatherEdgeSrc(const SpMatPtr& a, const VarPtr& x) {
                         }
                       }
                     });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr GatherEdgeDst(const SpMatPtr& a, const VarPtr& x) {
@@ -353,10 +272,9 @@ VarPtr GatherEdgeDst(const SpMatPtr& a, const VarPtr& x) {
   AUTOAC_CHECK_EQ(x->value.dim(), 1);
   AUTOAC_CHECK_EQ(x->value.numel(), csr.num_rows);
   Tensor out({csr.nnz()});
-  auto kernel = [a](const Tensor* const* ins, Tensor& out, float* /*scratch*/) {
+  {
     AUTOAC_PROFILE_SCOPE("gather_edge_dst.forward");
-    const Csr& csr = a->forward();
-    const float* px = ins[0]->data();
+    const float* px = x->value.data();
     float* po = out.data();
     const int64_t* indptr = csr.indptr.data();
     ParallelFor(0, csr.num_rows, SparseRowGrain(csr, 1),
@@ -367,13 +285,7 @@ VarPtr GatherEdgeDst(const SpMatPtr& a, const VarPtr& x) {
                     }
                   }
                 });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.handle = a;
   return MakeOp(
       "GatherEdgeDst", std::move(out), {x},
       [a](Variable& self) {
@@ -391,8 +303,7 @@ VarPtr GatherEdgeDst(const SpMatPtr& a, const VarPtr& x) {
                         }
                       }
                     });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Gather1d(const VarPtr& x, std::vector<int64_t> ids) {
@@ -402,9 +313,8 @@ VarPtr Gather1d(const VarPtr& x, std::vector<int64_t> ids) {
       std::make_shared<const std::vector<int64_t>>(std::move(ids));
   int64_t m = static_cast<int64_t>(shared_ids->size());
   Tensor out({m});
-  auto kernel = [shared_ids, m, n](const Tensor* const* ins, Tensor& out,
-                                   float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     const int64_t* pids = shared_ids->data();
     ParallelFor(0, m, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
@@ -413,13 +323,7 @@ VarPtr Gather1d(const VarPtr& x, std::vector<int64_t> ids) {
         po[i] = px[pids[i]];
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.ids = shared_ids;
   return MakeOp(
       "Gather1d", std::move(out), {x},
       [shared_ids](Variable& self) {
@@ -431,8 +335,7 @@ VarPtr Gather1d(const VarPtr& x, std::vector<int64_t> ids) {
         float* gx = self.parents[0]->EnsureGrad().data();
         const float* g = self.grad.data();
         for (size_t i = 0; i < ids.size(); ++i) gx[ids[i]] += g[i];
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr PairDot(const VarPtr& h, std::vector<int64_t> us,
@@ -445,10 +348,8 @@ VarPtr PairDot(const VarPtr& h, std::vector<int64_t> us,
   auto shared_vs = std::make_shared<const std::vector<int64_t>>(std::move(vs));
   int64_t m = static_cast<int64_t>(shared_us->size());
   Tensor out({m});
-  auto kernel = [shared_us, shared_vs, m, n, d](const Tensor* const* ins,
-                                                Tensor& out,
-                                                float* /*scratch*/) {
-    const float* ph = ins[0]->data();
+  {
+    const float* ph = h->value.data();
     float* po = out.data();
     const int64_t* pus = shared_us->data();
     const int64_t* pvs = shared_vs->data();
@@ -463,10 +364,6 @@ VarPtr PairDot(const VarPtr& h, std::vector<int64_t> us,
         po[i] = acc;
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&h->value};
-    kernel(ins, out, nullptr);
   }
   return MakeOp(
       "PairDot", std::move(out), {h},
@@ -490,8 +387,7 @@ VarPtr PairDot(const VarPtr& h, std::vector<int64_t> us,
             gv[j] += g[i] * hu[j];
           }
         }
-      },
-      kernel);
+      });
 }
 
 }  // namespace autoac

@@ -425,17 +425,8 @@ StatusOr<FrozenModel> LoadFrozenModel(const std::string& path) {
   for (int64_t i = 0; i < num_params; ++i) {
     if (!read_tensor(&model.model_params[i])) return malformed;
   }
-  if (quantized) {
-    // Keep the classifier weight in stored form too: the compiler's
-    // dequantize-on-load pass folds it out of a Dequantize IR node, and the
-    // session's forward capture needs the encoded bytes to build that node.
-    auto enc_weight = std::make_shared<EncodedTensor>();
-    if (!io::ReadEncodedTensor(in, enc_weight.get())) return malformed;
-    model.classifier_weight = DecodeTensor(*enc_weight);
-    model.encoded_classifier_weight = std::move(enc_weight);
-    if (!read_tensor(&model.classifier_bias)) return malformed;
-  } else if (!io::ReadTensor(in, &model.classifier_weight) ||
-             !io::ReadTensor(in, &model.classifier_bias)) {
+  if (!read_tensor(&model.classifier_weight) ||
+      !read_tensor(&model.classifier_bias)) {
     return malformed;
   }
   if (in.peek() != std::istringstream::traits_type::eof()) {

@@ -84,10 +84,6 @@ struct FrozenModel {
   /// stored byte changes some decoded tensor and therefore the recomputed
   /// fingerprint. Not itself part of the fingerprint.
   TensorEncoding encoding = TensorEncoding::kF32;
-  /// The classifier weight exactly as stored, retained on quantized loads so
-  /// the compiler's dequantize-on-load pass can fold it out of a Dequantize
-  /// IR node (src/compiler/passes.cc); null for f32 artifacts.
-  std::shared_ptr<const EncodedTensor> encoded_classifier_weight;
 };
 
 /// Content fingerprint over every field except `fingerprint` itself

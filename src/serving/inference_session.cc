@@ -4,12 +4,11 @@
 #include <utility>
 
 #include "models/factory.h"
-#include "tensor/graph_ir.h"
 #include "tensor/ops.h"
 
 namespace autoac {
 
-InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
+InferenceSession::InferenceSession(FrozenModel frozen)
     : frozen_(std::move(frozen)), rng_(frozen_.seed) {
   AUTOAC_CHECK(frozen_.graph != nullptr) << "frozen model has no graph";
   ctx_ = BuildModelContext(frozen_.graph);
@@ -38,54 +37,10 @@ InferenceSession::InferenceSession(FrozenModel frozen, const Options& options)
   cls_weight_ = MakeConst(frozen_.classifier_weight);
   cls_bias_ = MakeConst(frozen_.classifier_bias);
   target_ids_ = frozen_.graph->TargetGlobalIds();
-  if (options.compile) {
-    TryCompile();  // the capture run produces the first hidden/logits
-  } else {
-    RecomputeLogits();
-  }
-}
-
-void InferenceSession::TryCompile() {
-  ir::Graph graph;
-  {
-    // The capture executes eagerly while recording, so this *is* the first
-    // logits computation — a failed compile costs nothing extra.
-    IrCapture capture;
-    capture.MarkInput(h0_, "h0");
-    VarPtr h = model_->Forward(ctx_, h0_, /*training=*/false, rng_);
-    // Quantized artifacts route the classifier weight through a Dequantize
-    // node, which the dequantize-on-load pass folds into the plan; decoding
-    // is deterministic, so the values equal cls_weight_ bit for bit.
-    VarPtr weight = frozen_.encoded_classifier_weight != nullptr
-                        ? Dequantize(frozen_.encoded_classifier_weight)
-                        : cls_weight_;
-    VarPtr logits = AddBias(MatMul(h, weight), cls_bias_);
-    graph = capture.Finish(logits);
-    logits_ = std::move(logits->value);
-  }
-  StatusOr<compiler::CompiledGraph> compiled =
-      compiler::CompiledGraph::Compile(std::move(graph));
-  if (!compiled.ok()) return;  // keep the interpreted path
-  compiled_ = std::make_unique<compiler::CompiledGraph>(compiled.TakeValue());
-  compiled_inputs_ = {&frozen_.h0};
-  // The compiled kernels pin the weights, index lists, and adjacency
-  // matrices they reference (via Value::leaf and captured shared_ptrs), so
-  // the rebuilt autograd model, the duplicated leaf constants, and the
-  // context's cached adjacencies are now dead weight.
-  model_.reset();
-  h0_.reset();
-  cls_weight_.reset();
-  cls_bias_.reset();
-  ctx_ = ModelContext{};
+  RecomputeLogits();
 }
 
 void InferenceSession::RecomputeLogits() {
-  if (compiled_ != nullptr) {
-    // Replays the compiled plan into the preplanned arena; after the first
-    // call this performs zero heap tensor allocations.
-    compiled_->Run(compiled_inputs_, &logits_);
-    return;
-  }
   // Tape-free: no closure is allocated, no parent chain retained, and every
   // intermediate frees as soon as its last consumer releases it. Mirrors
   // the training-time evaluation forward (model Forward + Linear head)

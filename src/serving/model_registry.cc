@@ -67,12 +67,6 @@ Status ScanModelDir(const std::string& dir,
 
 }  // namespace
 
-void ModelRegistry::set_session_options(
-    const InferenceSession::Options& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  session_options_ = options;
-}
-
 void ModelRegistry::set_mutation_options(bool enabled, int64_t staleness_ms) {
   std::lock_guard<std::mutex> lock(mu_);
   mutations_enabled_ = enabled;
@@ -123,7 +117,6 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::Reload() {
 StatusOr<ModelRegistry::ReloadReport> ModelRegistry::ResolveAndSwap() {
   std::string models_spec, model_dir;
   std::map<std::string, Entry> current;
-  InferenceSession::Options session_options;
   bool mutations_enabled;
   MutableSession::Options mutation_options;
   {
@@ -131,7 +124,6 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::ResolveAndSwap() {
     models_spec = models_spec_;
     model_dir = model_dir_;
     current = entries_;
-    session_options = session_options_;
     mutations_enabled = mutations_enabled_;
     mutation_options = mutation_options_;
   }
@@ -181,8 +173,7 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::ResolveAndSwap() {
       next[name].path = path;
       report.unchanged.push_back(name);
     } else {
-      auto session = std::make_shared<InferenceSession>(frozen.TakeValue(),
-                                                        session_options);
+      auto session = std::make_shared<InferenceSession>(frozen.TakeValue());
       std::shared_ptr<MutableSession> overlay;
       if (mutations_enabled) {
         // A changed fingerprint means a different artifact: the old

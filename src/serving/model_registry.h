@@ -48,10 +48,6 @@ class ModelRegistry {
   void Register(const std::string& name,
                 std::shared_ptr<InferenceSession> session);
 
-  /// Options applied to every session the registry constructs (LoadFromSpec
-  /// and Reload). Set before LoadFromSpec; --no_compile routes through here.
-  void set_session_options(const InferenceSession::Options& options);
-
   /// Enables the streaming-mutation overlay (DESIGN.md §12): every hosted
   /// model gets a MutableSession sibling that accepts graph deltas and
   /// answers that model's predictions. Set before LoadFromSpec/Register.
@@ -133,7 +129,6 @@ class ModelRegistry {
   std::string default_name_;
   std::string models_spec_;
   std::string model_dir_;
-  InferenceSession::Options session_options_;
   bool mutations_enabled_ = false;
   MutableSession::Options mutation_options_;
 };

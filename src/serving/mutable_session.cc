@@ -63,7 +63,6 @@ MutableSession::MutableSession(std::shared_ptr<InferenceSession> base,
   } else if (name == "GATNE") {
     partial_capable_ = true;
     model_hops_ = 1;
-    per_node_params_ = true;  // base embedding is a [num_nodes, d] table
   } else {
     partial_capable_ = false;
     model_hops_ = fz.num_layers;
@@ -194,7 +193,6 @@ StatusOr<MutationResult> MutableSession::Apply(const Mutation& mutation) {
   int64_t c = CompletionRadius();
   MarkDirty(SortedUnion(graph_.Ball(seeds, c + model_hops_), pre_logits),
             SortedUnion(graph_.Ball(seeds, c), pre_h0), &result.dirty_rows);
-  dirty_rows_marked_ += result.dirty_rows;
   ++mutations_applied_;
   if (was_clean && !dirty_logits_.empty()) {
     first_dirty_ = std::chrono::steady_clock::now();
@@ -370,9 +368,7 @@ void MutableSession::FlushFull() {
   StatusOr<FrozenModel> refrozen =
       RefreezeWithGraph(fz, compact, ExtendOpAssignment(fz, *compact));
   AUTOAC_CHECK(refrozen.ok()) << refrozen.status().message();
-  InferenceSession::Options options;
-  options.compile = false;  // one-shot forward; compiling buys nothing
-  InferenceSession session(refrozen.TakeValue(), options);
+  InferenceSession session(refrozen.TakeValue());
   h0_ = session.frozen().h0;
   logits_ = session.logits();
   ++full_recomputes_;

@@ -112,9 +112,6 @@ class MutableSession {
 
   // --- observability (per overlay) ------------------------------------------
   int64_t mutations_applied() const { return mutations_applied_; }
-  /// Total logits rows ever marked dirty (double-marking not double-counted
-  /// within one frontier).
-  int64_t dirty_rows_marked() const { return dirty_rows_marked_; }
   /// Logits rows recomputed via the partial (subgraph) path. Each flush
   /// also adds them to the process-wide counter
   /// `mutable.partial_forward_rows` (DESIGN.md §8).
@@ -152,14 +149,12 @@ class MutableSession {
   Tensor logits_;  // current logits cache (exact for clean rows)
   int64_t model_hops_ = 0;     // receptive depth of the GNN
   bool partial_capable_ = false;
-  bool per_node_params_ = false;  // GATNE: [num_nodes, d] parameter rows
   bool ops_present_[4] = {false, false, false, false};
   std::unordered_set<int64_t> dirty_logits_;
   std::unordered_set<int64_t> dirty_h0_;
   std::chrono::steady_clock::time_point first_dirty_{};
 
   int64_t mutations_applied_ = 0;
-  int64_t dirty_rows_marked_ = 0;
   int64_t partial_forward_rows_ = 0;
   int64_t partial_recomputes_ = 0;
   int64_t full_recomputes_ = 0;

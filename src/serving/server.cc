@@ -1089,9 +1089,8 @@ void InferenceServer::BatcherLoop() {
               .Add("occupancy", static_cast<double>(batch.size()) /
                                     static_cast<double>(options_.max_batch))
               .Add("queue_depth", queue_depth)
-              // Flat across batches in steady state: compiled sessions run
-              // out of the preplanned arena (DESIGN.md §11), and Predict is
-              // an allocation-free row scan.
+              // Flat across batches in steady state: Predict is an
+              // allocation-free row scan of the cached logits.
               .Add("tensor_buffers_allocated", TensorBuffersAllocated()));
     }
     service_us = NowMicros() - dispatch_start_us;

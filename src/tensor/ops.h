@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "tensor/quantize.h"
 #include "tensor/variable.h"
 #include "util/rng.h"
 
@@ -131,19 +130,6 @@ VarPtr RowL2Normalize(const VarPtr& x, float eps = 1e-12f);
 /// Inverted dropout: scales kept entries by 1/(1-p). Identity when not
 /// training or p == 0.
 VarPtr Dropout(const VarPtr& x, float p, bool training, Rng& rng);
-
-// ---------------------------------------------------------------------------
-// Quantization.
-// ---------------------------------------------------------------------------
-
-/// Materializes the float decoding of a stored quantized tensor as a
-/// zero-input node. Under IrCapture this records a Dequantize IR node whose
-/// kernel re-decodes the payload; the compiler's dequantize-on-load pass
-/// (src/compiler/passes.cc) runs that kernel once and folds the result to a
-/// constant, so a compiled forward never decodes at run time. Decoding is
-/// deterministic, hence bitwise-stable across runs and thread counts. Not
-/// differentiable (inference-path only).
-VarPtr Dequantize(std::shared_ptr<const EncodedTensor> enc);
 
 // ---------------------------------------------------------------------------
 // Losses.

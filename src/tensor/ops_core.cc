@@ -7,18 +7,10 @@
 #include "util/parallel.h"
 #include "util/profiler.h"
 
-// Every op here follows the same structure: build the output tensor, build
-// a replay kernel (a closure that recomputes the output from the input
-// tensors, capturing dims by value), execute that kernel eagerly, then hand
-// the kernel to MakeOp so an active IrCapture can record it. Because eager
-// execution and IR replay run the identical closure on the deterministic
-// parallel runtime, compiled forwards are bitwise-identical to interpreted
-// ones at every thread count.
-//
-// Kernel contract (see graph_ir.h): a kernel fully defines its output — it
-// writes every element or explicitly zeroes before accumulating — because
-// arena slots recycle buffers. Kernels flagged kCanAliasInput0 only ever
-// read element i of ins[0] before writing element i of out.
+// Every op here follows the same structure: build the (zero-initialized)
+// output tensor, compute it eagerly on the deterministic parallel runtime,
+// then hand it to MakeOp with the backward closure. Forward values are
+// therefore bitwise identical at every thread count, taped or not.
 
 namespace autoac {
 
@@ -98,15 +90,9 @@ VarPtr MatMul(const VarPtr& a, const VarPtr& b) {
       << "MatMul shape mismatch " << a->value.ShapeString() << " x "
       << b->value.ShapeString();
   Tensor out(m, n);
-  auto kernel = [m, k, n](const Tensor* const* ins, Tensor& out,
-                          float* /*scratch*/) {
-    AUTOAC_PROFILE_SCOPE("gemm.forward");
-    out.Fill(0.0f);
-    internal::GemmNN(ins[0]->data(), ins[1]->data(), out.data(), m, k, n);
-  };
   {
-    const Tensor* ins[] = {&a->value, &b->value};
-    kernel(ins, out, nullptr);
+    AUTOAC_PROFILE_SCOPE("gemm.forward");
+    internal::GemmNN(a->value.data(), b->value.data(), out.data(), m, k, n);
   }
   return MakeOp(
       "MatMul", std::move(out), {a, b},
@@ -122,8 +108,7 @@ VarPtr MatMul(const VarPtr& a, const VarPtr& b) {
           internal::GemmTN(a->value.data(), self.grad.data(),
                            b->EnsureGrad().data(), m, k, n);
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr Transpose(const VarPtr& a) {
@@ -131,19 +116,14 @@ VarPtr Transpose(const VarPtr& a) {
   int64_t m = a->value.rows();
   int64_t n = a->value.cols();
   Tensor out(n, m);
-  auto kernel = [m, n](const Tensor* const* ins, Tensor& out,
-                       float* /*scratch*/) {
-    const float* pa = ins[0]->data();
+  {
+    const float* pa = a->value.data();
     float* po = out.data();
     ParallelFor(0, n, GrainForRows(m), [=](int64_t lo, int64_t hi) {
       for (int64_t j = lo; j < hi; ++j) {
         for (int64_t i = 0; i < m; ++i) po[j * m + i] = pa[i * n + j];
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&a->value};
-    kernel(ins, out, nullptr);
   }
   return MakeOp(
       "Transpose", std::move(out), {a},
@@ -157,8 +137,7 @@ VarPtr Transpose(const VarPtr& a) {
             for (int64_t j = 0; j < n; ++j) ga[i * n + j] += g[j * m + i];
           }
         });
-      },
-      kernel);
+      });
 }
 
 VarPtr Add(const VarPtr& a, const VarPtr& b) {
@@ -167,21 +146,14 @@ VarPtr Add(const VarPtr& a, const VarPtr& b) {
       << b->value.ShapeString();
   Tensor out(a->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* pa = ins[0]->data();
-    const float* pb = ins[1]->data();
+  {
+    const float* pa = a->value.data();
+    const float* pb = b->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = pa[i] + pb[i];
     });
-  };
-  {
-    const Tensor* ins[] = {&a->value, &b->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Add", std::move(out), {a, b},
       [n](Variable& self) {
@@ -194,8 +166,7 @@ VarPtr Add(const VarPtr& a, const VarPtr& b) {
             for (int64_t i = lo; i < hi; ++i) gp[i] += g[i];
           });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr AddN(const std::vector<VarPtr>& xs) {
@@ -206,24 +177,19 @@ VarPtr AddN(const std::vector<VarPtr>& xs) {
   for (const VarPtr& x : xs) AUTOAC_CHECK(x->value.SameShape(xs[0]->value));
   size_t count = xs.size();
   // Summed input-major within each span so the accumulation order per
-  // element matches the serial sweep; each span zeroes itself first because
-  // arena slots are not zero-initialized.
-  auto kernel = [n, count](const Tensor* const* ins, Tensor& out,
-                           float* /*scratch*/) {
+  // element matches the serial sweep.
+  {
+    std::vector<const float*> inputs;
+    inputs.reserve(count);
+    for (const VarPtr& x : xs) inputs.push_back(x->value.data());
+    const float* const* pin = inputs.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
-      std::fill(po + lo, po + hi, 0.0f);
       for (size_t s = 0; s < count; ++s) {
-        const float* px = ins[s]->data();
+        const float* px = pin[s];
         for (int64_t i = lo; i < hi; ++i) po[i] += px[i];
       }
     });
-  };
-  {
-    std::vector<const Tensor*> ins;
-    ins.reserve(count);
-    for (const VarPtr& x : xs) ins.push_back(&x->value);
-    kernel(ins.data(), out, nullptr);
   }
   return MakeOp(
       "AddN", std::move(out), xs,
@@ -236,29 +202,21 @@ VarPtr AddN(const std::vector<VarPtr>& xs) {
             for (int64_t i = lo; i < hi; ++i) gp[i] += g[i];
           });
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr Sub(const VarPtr& a, const VarPtr& b) {
   AUTOAC_CHECK(a->value.SameShape(b->value));
   Tensor out(a->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* pa = ins[0]->data();
-    const float* pb = ins[1]->data();
+  {
+    const float* pa = a->value.data();
+    const float* pb = b->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = pa[i] - pb[i];
     });
-  };
-  {
-    const Tensor* ins[] = {&a->value, &b->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Sub", std::move(out), {a, b},
       [n](Variable& self) {
@@ -275,29 +233,21 @@ VarPtr Sub(const VarPtr& a, const VarPtr& b) {
             for (int64_t i = lo; i < hi; ++i) gb[i] -= g[i];
           });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Mul(const VarPtr& a, const VarPtr& b) {
   AUTOAC_CHECK(a->value.SameShape(b->value));
   Tensor out(a->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* pa = ins[0]->data();
-    const float* pb = ins[1]->data();
+  {
+    const float* pa = a->value.data();
+    const float* pb = b->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = pa[i] * pb[i];
     });
-  };
-  {
-    const Tensor* ins[] = {&a->value, &b->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Mul", std::move(out), {a, b},
       [n](Variable& self) {
@@ -316,28 +266,19 @@ VarPtr Mul(const VarPtr& a, const VarPtr& b) {
             for (int64_t i = lo; i < hi; ++i) gb[i] += g[i] * pa[i];
           });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Scale(const VarPtr& x, float s) {
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n, s](const Tensor* const* ins, Tensor& out,
-                       float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = px[i] * s;
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
-  extra.attrs.scalar = s;
   return MakeOp(
       "Scale", std::move(out), {x},
       [n, s](Variable& self) {
@@ -347,28 +288,19 @@ VarPtr Scale(const VarPtr& x, float s) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g[i] * s;
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr AddScalar(const VarPtr& x, float s) {
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n, s](const Tensor* const* ins, Tensor& out,
-                       float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = px[i] + s;
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
-  extra.attrs.scalar = s;
   return MakeOp(
       "AddScalar", std::move(out), {x},
       [n](Variable& self) {
@@ -378,8 +310,7 @@ VarPtr AddScalar(const VarPtr& x, float s) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g[i];
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr ScaleByVar(const VarPtr& x, const VarPtr& s) {
@@ -387,23 +318,13 @@ VarPtr ScaleByVar(const VarPtr& x, const VarPtr& s) {
   float sv = s->value.data()[0];
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  // The kernel re-reads the scalar from ins[1] so a replay sees the value
-  // the upstream node produced, not the one captured here.
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
-    float sv = ins[1]->data()[0];
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = px[i] * sv;
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value, &s->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "ScaleByVar", std::move(out), {x, s},
       [n, sv](Variable& self) {
@@ -424,8 +345,7 @@ VarPtr ScaleByVar(const VarPtr& x, const VarPtr& s) {
               });
           self.parents[1]->EnsureGrad().data()[0] += static_cast<float>(acc);
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr AddBias(const VarPtr& x, const VarPtr& bias) {
@@ -435,10 +355,9 @@ VarPtr AddBias(const VarPtr& x, const VarPtr& bias) {
   int64_t n = x->value.cols();
   AUTOAC_CHECK_EQ(n, bias->value.numel());
   Tensor out(m, n);
-  auto kernel = [m, n](const Tensor* const* ins, Tensor& out,
-                       float* /*scratch*/) {
-    const float* px = ins[0]->data();
-    const float* pb = ins[1]->data();
+  {
+    const float* px = x->value.data();
+    const float* pb = bias->value.data();
     float* po = out.data();
     ParallelFor(0, m, GrainForRows(n), [=](int64_t row_begin,
                                            int64_t row_end) {
@@ -446,13 +365,7 @@ VarPtr AddBias(const VarPtr& x, const VarPtr& bias) {
         for (int64_t j = 0; j < n; ++j) po[i * n + j] = px[i * n + j] + pb[j];
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value, &bias->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "AddBias", std::move(out), {x, bias},
       [m, n](Variable& self) {
@@ -478,16 +391,14 @@ VarPtr AddBias(const VarPtr& x, const VarPtr& bias) {
             }
           });
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Sqrt(const VarPtr& x) {
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
@@ -495,13 +406,7 @@ VarPtr Sqrt(const VarPtr& x) {
         po[i] = std::sqrt(px[i]);
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Sqrt", std::move(out), {x},
       [n](Variable& self) {
@@ -516,8 +421,7 @@ VarPtr Sqrt(const VarPtr& x) {
             gx[i] += g[i] / (2.0f * std::max(po[i], 1e-6f));
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr ConcatRows(const std::vector<VarPtr>& xs) {
@@ -533,20 +437,13 @@ VarPtr ConcatRows(const std::vector<VarPtr>& xs) {
     total_rows += x->value.rows();
   }
   Tensor out(total_rows, cols);
-  auto kernel = [cols, row_counts](const Tensor* const* ins, Tensor& out,
-                                   float* /*scratch*/) {
+  {
     int64_t offset = 0;
     for (size_t s = 0; s < row_counts.size(); ++s) {
-      const float* px = ins[s]->data();
+      const float* px = xs[s]->value.data();
       std::copy(px, px + row_counts[s] * cols, out.data() + offset * cols);
       offset += row_counts[s];
     }
-  };
-  {
-    std::vector<const Tensor*> ins;
-    ins.reserve(xs.size());
-    for (const VarPtr& x : xs) ins.push_back(&x->value);
-    kernel(ins.data(), out, nullptr);
   }
   return MakeOp(
       "ConcatRows", std::move(out), xs,
@@ -561,8 +458,7 @@ VarPtr ConcatRows(const std::vector<VarPtr>& xs) {
           }
           offset += r;
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr ConcatCols(const std::vector<VarPtr>& xs) {
@@ -578,25 +474,17 @@ VarPtr ConcatCols(const std::vector<VarPtr>& xs) {
     total_cols += x->value.cols();
   }
   Tensor out(rows, total_cols);
-  auto kernel = [rows, total_cols, col_counts](const Tensor* const* ins,
-                                               Tensor& out,
-                                               float* /*scratch*/) {
+  {
     int64_t col_offset = 0;
     for (size_t s = 0; s < col_counts.size(); ++s) {
       int64_t c = col_counts[s];
-      const float* px = ins[s]->data();
+      const float* px = xs[s]->value.data();
       for (int64_t i = 0; i < rows; ++i) {
         std::copy(px + i * c, px + (i + 1) * c,
                   out.data() + i * total_cols + col_offset);
       }
       col_offset += c;
     }
-  };
-  {
-    std::vector<const Tensor*> ins;
-    ins.reserve(xs.size());
-    for (const VarPtr& x : xs) ins.push_back(&x->value);
-    kernel(ins.data(), out, nullptr);
   }
   return MakeOp(
       "ConcatCols", std::move(out), xs,
@@ -614,8 +502,7 @@ VarPtr ConcatCols(const std::vector<VarPtr>& xs) {
           }
           col_offset += c;
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows) {
@@ -625,9 +512,8 @@ VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows) {
   int64_t m = static_cast<int64_t>(rows.size());
   auto ids = std::make_shared<const std::vector<int64_t>>(std::move(rows));
   Tensor out(m, c);
-  auto kernel = [ids, m, n, c](const Tensor* const* ins, Tensor& out,
-                               float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     const int64_t* prows = ids->data();
     ParallelFor(0, m, GrainForRows(c), [=](int64_t lo, int64_t hi) {
@@ -636,13 +522,7 @@ VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows) {
         std::copy(px + prows[i] * c, px + (prows[i] + 1) * c, po + i * c);
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.ids = ids;
   return MakeOp(
       "GatherRows", std::move(out), {x},
       [ids, c](Variable& self) {
@@ -656,30 +536,7 @@ VarPtr GatherRows(const VarPtr& x, std::vector<int64_t> rows) {
           float* gp = gx.data() + rows[i] * c;
           for (int64_t j = 0; j < c; ++j) gp[j] += g[j];
         }
-      },
-      kernel, std::move(extra));
-}
-
-VarPtr Dequantize(std::shared_ptr<const EncodedTensor> enc) {
-  AUTOAC_CHECK(enc != nullptr);
-  Tensor value = DecodeTensor(*enc);
-  // Zero-input node: the kernel regenerates the decoded tensor from the
-  // captured payload. Constant folding skips input-less nodes, so the
-  // dedicated dequantize-on-load pass is what folds this away before
-  // execution (passes.cc).
-  auto kernel = [enc](const Tensor* const* /*ins*/, Tensor& out,
-                      float* /*scratch*/) {
-    Tensor decoded = DecodeTensor(*enc);
-    std::copy(decoded.data(), decoded.data() + decoded.numel(), out.data());
-  };
-  internal::OpExtra extra;
-  extra.attrs.handle = enc;  // keeps the payload reachable from the IR node
-  return MakeOp(
-      "Dequantize", std::move(value), {},
-      [](Variable& /*self*/) {
-        AUTOAC_CHECK(false) << "Dequantize has no gradient";
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
@@ -692,27 +549,18 @@ VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
   Tensor out(n_rows, c);
   // Callers scatter to distinct target rows (missing-node ids, per-type
   // offsets), so the row-partitioned writes below never collide. The
-  // non-scattered rows are zero: the kernel zeroes the whole buffer first
-  // because an arena slot is not zero-initialized.
-  auto kernel = [ids, m, c, n_rows](const Tensor* const* ins, Tensor& out,
-                                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  // non-scattered rows keep the output's zero initialization.
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     const int64_t* prows = ids->data();
-    out.Fill(0.0f);
     ParallelFor(0, m, GrainForRows(c), [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
         AUTOAC_DCHECK(prows[i] >= 0 && prows[i] < n_rows);
         std::copy(px + i * c, px + (i + 1) * c, po + prows[i] * c);
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.attrs.ids = ids;
   return MakeOp(
       "ScatterRows", std::move(out), {x},
       [ids, c](Variable& self) {
@@ -729,8 +577,7 @@ VarPtr ScatterRows(const VarPtr& x, std::vector<int64_t> rows,
             for (int64_t j = 0; j < c; ++j) gprow[j] += grow[j];
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr SliceCol(const VarPtr& x, int64_t j) {
@@ -739,15 +586,10 @@ VarPtr SliceCol(const VarPtr& x, int64_t j) {
   int64_t n = x->value.cols();
   AUTOAC_CHECK(j >= 0 && j < n);
   Tensor out({m});
-  auto kernel = [m, n, j](const Tensor* const* ins, Tensor& out,
-                          float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     for (int64_t i = 0; i < m; ++i) po[i] = px[i * n + j];
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
   return MakeOp(
       "SliceCol", std::move(out), {x},
@@ -757,50 +599,33 @@ VarPtr SliceCol(const VarPtr& x, int64_t j) {
         for (int64_t i = 0; i < m; ++i) {
           gx.data()[i * n + j] += self.grad.at(i);
         }
-      },
-      kernel);
+      });
 }
 
 VarPtr SliceElement(const VarPtr& x, int64_t i) {
   AUTOAC_CHECK_EQ(x->value.dim(), 1);
   AUTOAC_CHECK(i >= 0 && i < x->value.numel());
   Tensor out({1});
-  auto kernel = [i](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    out.data()[0] = ins[0]->data()[i];
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
-  }
+  out.data()[0] = x->value.data()[i];
   return MakeOp(
       "SliceElement", std::move(out), {x},
       [i](Variable& self) {
         if (!NeedsGrad(self.parents[0])) return;
         self.parents[0]->EnsureGrad().data()[i] += self.grad.data()[0];
-      },
-      kernel);
+      });
 }
 
 VarPtr Reshape(const VarPtr& x, std::vector<int64_t> shape) {
   Tensor out(std::move(shape));
   int64_t n = out.numel();
   AUTOAC_CHECK_EQ(n, x->value.numel());
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
-    // po may alias px (same-index copy is a no-op then).
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = px[i];
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Reshape", std::move(out), {x},
       [n](Variable& self) {
@@ -810,8 +635,7 @@ VarPtr Reshape(const VarPtr& x, std::vector<int64_t> shape) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g[i];
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr ScaleRowsByGather(const VarPtr& x, const VarPtr& weights,
@@ -824,10 +648,9 @@ VarPtr ScaleRowsByGather(const VarPtr& x, const VarPtr& weights,
   AUTOAC_CHECK_EQ(m, static_cast<int64_t>(ids_in.size()));
   auto ids = std::make_shared<const std::vector<int64_t>>(std::move(ids_in));
   Tensor out(m, c);
-  auto kernel = [ids, m, c, n_weights](const Tensor* const* ins, Tensor& out,
-                                       float* /*scratch*/) {
-    const float* px = ins[0]->data();
-    const float* pw = ins[1]->data();
+  {
+    const float* px = x->value.data();
+    const float* pw = weights->value.data();
     float* po = out.data();
     const int64_t* pids = ids->data();
     ParallelFor(0, m, GrainForRows(c), [=](int64_t lo, int64_t hi) {
@@ -839,14 +662,7 @@ VarPtr ScaleRowsByGather(const VarPtr& x, const VarPtr& weights,
         for (int64_t j = 0; j < c; ++j) orow[j] = w * xrow[j];
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value, &weights->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
-  extra.attrs.ids = ids;
   return MakeOp(
       "ScaleRowsByGather", std::move(out), {x, weights},
       [ids, m, c](Variable& self) {
@@ -880,16 +696,14 @@ VarPtr ScaleRowsByGather(const VarPtr& x, const VarPtr& weights,
             gw[idv[i]] += acc;
           }
         }
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr SumAll(const VarPtr& x) {
   int64_t n = x->value.numel();
   Tensor out({1});
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     double acc =
         ParallelReduce(0, n, kReduceGrain, [=](int64_t lo, int64_t hi) {
           double partial = 0.0;
@@ -897,10 +711,6 @@ VarPtr SumAll(const VarPtr& x) {
           return partial;
         });
     out.data()[0] = static_cast<float>(acc);
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
   return MakeOp(
       "SumAll", std::move(out), {x},
@@ -911,17 +721,15 @@ VarPtr SumAll(const VarPtr& x) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g;
         });
-      },
-      kernel);
+      });
 }
 
 VarPtr MeanAll(const VarPtr& x) {
   int64_t n = x->value.numel();
   AUTOAC_CHECK_GT(n, 0);
   Tensor out({1});
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     double acc =
         ParallelReduce(0, n, kReduceGrain, [=](int64_t lo, int64_t hi) {
           double partial = 0.0;
@@ -929,10 +737,6 @@ VarPtr MeanAll(const VarPtr& x) {
           return partial;
         });
     out.data()[0] = static_cast<float>(acc / n);
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
   return MakeOp(
       "MeanAll", std::move(out), {x},
@@ -943,16 +747,14 @@ VarPtr MeanAll(const VarPtr& x) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += g;
         });
-      },
-      kernel);
+      });
 }
 
 VarPtr SumSquares(const VarPtr& x) {
   int64_t n = x->value.numel();
   Tensor out({1});
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     double acc =
         ParallelReduce(0, n, kReduceGrain, [=](int64_t lo, int64_t hi) {
           double partial = 0.0;
@@ -962,10 +764,6 @@ VarPtr SumSquares(const VarPtr& x) {
           return partial;
         });
     out.data()[0] = static_cast<float>(acc);
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
   return MakeOp(
       "SumSquares", std::move(out), {x},
@@ -977,8 +775,7 @@ VarPtr SumSquares(const VarPtr& x) {
         ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
           for (int64_t i = lo; i < hi; ++i) gx[i] += 2.0f * g * px[i];
         });
-      },
-      kernel);
+      });
 }
 
 }  // namespace autoac

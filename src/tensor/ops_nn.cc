@@ -5,73 +5,22 @@
 #include "tensor/op_helpers.h"
 #include "tensor/ops.h"
 #include "util/parallel.h"
-#include "util/profiler.h"
-
-// See ops_core.cc for the kernel-recording structure shared by all ops.
 
 namespace autoac {
 
 using internal::MakeOp;
 using internal::NeedsGrad;
 
-namespace internal {
-
-ir::Kernel MakeFusedLinearKernel(
-    std::shared_ptr<const std::vector<int64_t>> ids, bool has_bias, Act act,
-    int64_t m, int64_t k, int64_t n) {
-  return [ids, has_bias, act, m, k, n](const Tensor* const* ins, Tensor& out,
-                                       float* /*scratch*/) {
-    AUTOAC_PROFILE_SCOPE("fused_linear.forward");
-    const float* x = ins[0]->data();
-    const float* w = ins[1]->data();
-    const float* b = has_bias ? ins[2]->data() : nullptr;
-    float* po = out.data();
-    const int64_t* pids = ids != nullptr ? ids->data() : nullptr;
-    // Row-partitioned exactly like GemmNN. Each output row completes its
-    // GEMM accumulation before the bias add and activation, so every float
-    // op matches the unfused GatherRows -> MatMul -> AddBias -> act chain.
-    ParallelFor(0, m, GrainForRows(k * n), [=](int64_t row_begin,
-                                               int64_t row_end) {
-      for (int64_t i = row_begin; i < row_end; ++i) {
-        const float* arow = x + (pids != nullptr ? pids[i] : i) * k;
-        float* orow = po + i * n;
-        std::fill(orow, orow + n, 0.0f);
-        for (int64_t l = 0; l < k; ++l) {
-          float av = arow[l];
-          if (av == 0.0f) continue;
-          const float* brow = w + l * n;
-          for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-        }
-        if (b != nullptr) {
-          for (int64_t j = 0; j < n; ++j) orow[j] = orow[j] + b[j];
-        }
-        if (act != Act::kNone) {
-          for (int64_t j = 0; j < n; ++j) orow[j] = ApplyAct(act, orow[j]);
-        }
-      }
-    });
-  };
-}
-
-}  // namespace internal
-
 VarPtr Relu(const VarPtr& x) {
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = px[i] > 0.0f ? px[i] : 0.0f;
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Relu", std::move(out), {x},
       [n](Variable& self) {
@@ -84,30 +33,21 @@ VarPtr Relu(const VarPtr& x) {
             if (px[i] > 0.0f) gx[i] += g[i];
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr LeakyRelu(const VarPtr& x, float negative_slope) {
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n, negative_slope](const Tensor* const* ins, Tensor& out,
-                                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
         po[i] = px[i] > 0.0f ? px[i] : negative_slope * px[i];
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
-  extra.attrs.scalar = negative_slope;
   return MakeOp(
       "LeakyRelu", std::move(out), {x},
       [n, negative_slope](Variable& self) {
@@ -120,29 +60,21 @@ VarPtr LeakyRelu(const VarPtr& x, float negative_slope) {
             gx[i] += px[i] > 0.0f ? g[i] : negative_slope * g[i];
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Elu(const VarPtr& x) {
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
         po[i] = px[i] > 0.0f ? px[i] : std::expm1(px[i]);
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Elu", std::move(out), {x},
       [n](Variable& self) {
@@ -157,29 +89,21 @@ VarPtr Elu(const VarPtr& x) {
             gx[i] += px[i] > 0.0f ? g[i] : g[i] * (po[i] + 1.0f);
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Sigmoid(const VarPtr& x) {
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
         po[i] = 1.0f / (1.0f + std::exp(-px[i]));
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Sigmoid", std::move(out), {x},
       [n](Variable& self) {
@@ -192,27 +116,19 @@ VarPtr Sigmoid(const VarPtr& x) {
             gx[i] += g[i] * po[i] * (1.0f - po[i]);
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Tanh(const VarPtr& x) {
   Tensor out(x->value.shape());
   int64_t n = out.numel();
-  auto kernel = [n](const Tensor* const* ins, Tensor& out,
-                    float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) po[i] = std::tanh(px[i]);
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "Tanh", std::move(out), {x},
       [n](Variable& self) {
@@ -225,8 +141,7 @@ VarPtr Tanh(const VarPtr& x) {
             gx[i] += g[i] * (1.0f - po[i] * po[i]);
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr RowSoftmax(const VarPtr& x) {
@@ -234,11 +149,8 @@ VarPtr RowSoftmax(const VarPtr& x) {
   int64_t m = x->value.rows();
   int64_t n = x->value.cols();
   Tensor out(m, n);
-  // Alias-safe: each row's max is read before any element of that row is
-  // written, and element j is only read again after its own write.
-  auto kernel = [m, n](const Tensor* const* ins, Tensor& out,
-                       float* /*scratch*/) {
-    const float* px = ins[0]->data();
+  {
+    const float* px = x->value.data();
     float* po = out.data();
     ParallelFor(0, m, GrainForRows(3 * n), [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
@@ -253,13 +165,7 @@ VarPtr RowSoftmax(const VarPtr& x) {
         for (int64_t j = 0; j < n; ++j) orow[j] /= sum;
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, nullptr);
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "RowSoftmax", std::move(out), {x},
       [m, n](Variable& self) {
@@ -279,8 +185,7 @@ VarPtr RowSoftmax(const VarPtr& x) {
             }
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr RowL2Normalize(const VarPtr& x, float eps) {
@@ -289,13 +194,11 @@ VarPtr RowL2Normalize(const VarPtr& x, float eps) {
   int64_t n = x->value.cols();
   Tensor out(m, n);
   std::vector<float> norms(m);
-  // `scratch` receives the per-row clamped norms when non-null — the eager
-  // path passes the vector the backward closure captures; replay passes
-  // nullptr (norms are a backward-only artifact).
-  auto kernel = [m, n, eps](const Tensor* const* ins, Tensor& out,
-                            float* scratch) {
-    const float* px = ins[0]->data();
+  // Per-row clamped norms, kept for the backward closure.
+  {
+    const float* px = x->value.data();
     float* po = out.data();
+    float* pnorms = norms.data();
     ParallelFor(0, m, GrainForRows(2 * n), [=](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) {
         const float* row = px + i * n;
@@ -304,19 +207,13 @@ VarPtr RowL2Normalize(const VarPtr& x, float eps) {
           ss += static_cast<double>(row[j]) * row[j];
         }
         float norm = static_cast<float>(std::sqrt(ss));
-        if (scratch != nullptr) scratch[i] = std::max(norm, eps);
+        pnorms[i] = std::max(norm, eps);
         float inv = norm > eps ? 1.0f / norm : 1.0f;
         float* orow = po + i * n;
         for (int64_t j = 0; j < n; ++j) orow[j] = row[j] * inv;
       }
     });
-  };
-  {
-    const Tensor* ins[] = {&x->value};
-    kernel(ins, out, norms.data());
   }
-  internal::OpExtra extra;
-  extra.flags = ir::kCanAliasInput0;
   return MakeOp(
       "RowL2Normalize", std::move(out), {x},
       [m, n, norms = std::move(norms), eps](Variable& self) {
@@ -343,8 +240,7 @@ VarPtr RowL2Normalize(const VarPtr& x, float eps) {
             }
           }
         });
-      },
-      kernel, std::move(extra));
+      });
 }
 
 VarPtr Dropout(const VarPtr& x, float p, bool training, Rng& rng) {
@@ -360,9 +256,7 @@ VarPtr Dropout(const VarPtr& x, float p, bool training, Rng& rng) {
   const float* px = x->value.data();
   float* po = out.data();
   // The mask generation above stays serial (the RNG draw order defines the
-  // mask); only the apply is parallel. No replay kernel: training-mode
-  // dropout depends on RNG state, which a compiled plan must not capture —
-  // eval forwards never reach this point (the identity early-out above).
+  // mask); only the apply is parallel.
   {
     const float* pmask = mask.data();
     ParallelFor(0, n, kElementwiseGrain, [=](int64_t lo, int64_t hi) {

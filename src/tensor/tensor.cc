@@ -105,24 +105,6 @@ Tensor Tensor::Reshaped(std::vector<int64_t> new_shape) const {
   return t;
 }
 
-void Tensor::ReshapeInPlace(const std::vector<int64_t>& new_shape) {
-  int64_t new_numel = ShapeProduct(new_shape);
-  AUTOAC_CHECK_LE(new_numel, static_cast<int64_t>(data_.capacity()))
-      << "ReshapeInPlace would grow past reserved capacity";
-  // resize within capacity never reallocates, and copy-assigning the shape
-  // reuses shape_'s capacity once it has held an equal-or-longer shape.
-  data_.resize(new_numel);
-  shape_ = new_shape;
-}
-
-void Tensor::ReserveNumel(int64_t numel) {
-  AUTOAC_CHECK_GE(numel, 0);
-  if (numel > static_cast<int64_t>(data_.capacity())) {
-    NoteBufferAllocated(numel);
-    data_.reserve(numel);
-  }
-}
-
 std::string Tensor::ShapeString() const {
   std::ostringstream out;
   out << "[";

@@ -136,16 +136,14 @@ CompletionOpType MixedOps(int64_t i) {
 CompletionOpType AllPpnp(int64_t) { return CompletionOpType::kPpnp; }
 
 /// The from-scratch reference: re-export the mutated graph and read the
-/// full logits of an interpreted session. This is what the incremental
+/// full logits of a fresh session. This is what the incremental
 /// path must match bitwise.
 Tensor ReferenceLogits(const FrozenModel& fz, MutableGraph& replica) {
   const HeteroGraphPtr& compact = replica.Compact();
   StatusOr<FrozenModel> refrozen =
       RefreezeWithGraph(fz, compact, ExtendOpAssignment(fz, *compact));
   AUTOAC_CHECK(refrozen.ok()) << refrozen.status().message();
-  InferenceSession::Options options;
-  options.compile = false;
-  InferenceSession session(refrozen.TakeValue(), options);
+  InferenceSession session(refrozen.TakeValue());
   return session.logits();
 }
 
@@ -292,9 +290,7 @@ struct Harness {
           CompletionOpType (*op_fn)(int64_t),
           int64_t staleness_ms = 0) {
     fz = MakeFrozen(model_name, graph, op_fn);
-    InferenceSession::Options options;
-    options.compile = false;
-    base = std::make_shared<InferenceSession>(fz, options);
+    base = std::make_shared<InferenceSession>(fz);
     MutableSession::Options mutable_options;
     mutable_options.staleness_ms = staleness_ms;
     session = std::make_unique<MutableSession>(base, mutable_options);
@@ -359,6 +355,44 @@ TEST_P(MutationZooTest, IncrementalMatchesFullRecomputeAt1And4Threads) {
   SetNumThreads(0);
   ASSERT_EQ(digests.size(), 2u);
   EXPECT_EQ(digests[0], digests[1]) << "thread-count variance";
+}
+
+// The serving forward (tape-free, NoGradGuard) is bitwise identical to the
+// taped evaluation forward + classifier head for every architecture, at one
+// thread and at four: only the autograd bookkeeping differs.
+TEST_P(MutationZooTest, SessionMatchesTapedForwardBitwiseAt1And4Threads) {
+  FrozenModel fz = MakeFrozen(GetParam(), RingGraph(), MixedOps);
+  ModelContext ctx = BuildModelContext(fz.graph);
+  ModelConfig model_config;
+  model_config.in_dim = fz.hidden_dim;
+  model_config.hidden_dim = fz.hidden_dim;
+  model_config.out_dim = fz.hidden_dim;
+  model_config.num_layers = fz.num_layers;
+  model_config.num_heads = fz.num_heads;
+  model_config.dropout = fz.dropout;
+  model_config.negative_slope = fz.negative_slope;
+  Rng init_rng(fz.seed);
+  ModelPtr model = MakeModel(GetParam(), model_config, ctx, init_rng,
+                             /*l2_normalize_output=*/false);
+  std::vector<VarPtr> params = model->Parameters();
+  ASSERT_EQ(params.size(), fz.model_params.size());
+  for (size_t i = 0; i < params.size(); ++i) {
+    params[i]->value = fz.model_params[i];
+  }
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    InferenceSession session(fz);
+    ASSERT_TRUE(GradModeEnabled());
+    Rng fwd_rng(fz.seed);
+    VarPtr h = model->Forward(ctx, MakeConst(fz.h0), /*training=*/false,
+                              fwd_rng);
+    VarPtr taped = AddBias(MatMul(h, MakeConst(fz.classifier_weight)),
+                           MakeConst(fz.classifier_bias));
+    EXPECT_FALSE(taped->parents.empty());  // the reference really is taped
+    ExpectTensorsBitwiseEqual(session.logits(), taped->value);
+    if (HasFatalFailure()) break;
+  }
+  SetNumThreads(0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -444,9 +478,7 @@ TEST(MutationErrorTest, V1ArtifactRefusesMutations) {
   fz.has_completion = false;
   fz.completion_params.clear();
   fz.fingerprint = ComputeFrozenFingerprint(fz);
-  InferenceSession::Options options;
-  options.compile = false;
-  MutableSession session(std::make_shared<InferenceSession>(fz, options),
+  MutableSession session(std::make_shared<InferenceSession>(fz),
                          MutableSession::Options());
   StatusOr<MutationResult> r =
       session.Apply(EdgeMutation(Mutation::Kind::kAddEdge, "it", 0, 0));
@@ -631,9 +663,7 @@ TEST(QuantizedZooTest, QuantizedPredictionsWithinToleranceForAllModels) {
       std::string(::testing::TempDir()) + "/quant_zoo.aacm";
   for (const char* model_name : models) {
     FrozenModel fz = MakeFrozen(model_name, graph, MixedOps);
-    InferenceSession::Options options;
-    options.compile = false;
-    InferenceSession exact(fz, options);
+    InferenceSession exact(fz);
     struct Case {
       TensorEncoding encoding;
       double min_agreement;
@@ -650,7 +680,7 @@ TEST(QuantizedZooTest, QuantizedPredictionsWithinToleranceForAllModels) {
           << model_name << ": " << loaded.status().message();
       EXPECT_EQ(loaded.value().encoding, c.encoding);
       EXPECT_EQ(loaded.value().fingerprint, stored);
-      InferenceSession quantized(loaded.TakeValue(), options);
+      InferenceSession quantized(loaded.TakeValue());
       int64_t agree = 0;
       for (int64_t node = 0; node < exact.num_targets(); ++node) {
         StatusOr<InferenceSession::Prediction> pq = quantized.Predict(node);

@@ -343,42 +343,6 @@ TEST(InferenceSessionTest, PredictRejectsOutOfRangeNodes) {
   ASSERT_TRUE(session.Predict(session.num_targets() - 1).ok());
 }
 
-// Acceptance gate for the compiled forward (DESIGN.md §11): with the
-// default options the session compiles the capture, and the compiled
-// RecomputeLogits is bitwise identical to the interpreted one at one
-// thread and at four.
-TEST(InferenceSessionTest, CompiledMatchesInterpretedBitwise) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  InferenceSession::Options interpreted_only;
-  interpreted_only.compile = false;
-  InferenceSession interpreted(env.frozen(), interpreted_only);
-  ASSERT_EQ(interpreted.compiled_graph(), nullptr);
-  InferenceSession compiled(env.frozen());
-  ASSERT_NE(compiled.compiled_graph(), nullptr);
-
-  SetNumThreads(1);
-  interpreted.RecomputeLogits();
-  compiled.RecomputeLogits();
-  ExpectTensorsBitwiseEqual(compiled.logits(), interpreted.logits());
-  SetNumThreads(4);
-  interpreted.RecomputeLogits();
-  compiled.RecomputeLogits();
-  ExpectTensorsBitwiseEqual(compiled.logits(), interpreted.logits());
-  SetNumThreads(0);
-}
-
-// Acceptance gate: the compiled steady state runs entirely out of the
-// preplanned arena — recomputing the logits allocates zero tensor buffers.
-TEST(InferenceSessionTest, CompiledRecomputeAllocatesZeroTensorBuffers) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  InferenceSession session(env.frozen());
-  ASSERT_NE(session.compiled_graph(), nullptr);
-  session.RecomputeLogits();  // warm once past any first-run sizing
-  int64_t before = TensorBuffersAllocated();
-  for (int run = 0; run < 3; ++run) session.RecomputeLogits();
-  EXPECT_EQ(TensorBuffersAllocated(), before);
-}
-
 // PredictBatch answers exactly what per-row Predict answers — bit for bit,
 // at one thread and at four, for short and long batches.
 TEST(InferenceSessionTest, PredictBatchBitwiseMatchesPredict) {
@@ -417,7 +381,7 @@ TEST(InferenceSessionTest, PredictBatchFailsWholeRequestOnBadId) {
 }
 
 // PredictBatch reads the cached logits table: steady state allocates zero
-// tensor buffers, like the compiled RecomputeLogits.
+// tensor buffers.
 TEST(InferenceSessionTest, PredictBatchSteadyStateAllocatesZeroTensorBuffers) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   InferenceSession session(env.frozen());
@@ -442,27 +406,6 @@ TEST(FrozenModelIoTest, PeekFingerprintMatchesWithoutFullParse) {
   ASSERT_TRUE(peeked.ok()) << peeked.status().message();
   EXPECT_EQ(peeked.value(), env.frozen().fingerprint);
   EXPECT_FALSE(PeekFrozenFingerprint(TempPath("absent.aacm")).ok());
-  std::remove(path.c_str());
-}
-
-TEST(ModelRegistryTest, SessionOptionsReachLoadedSessions) {
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  std::string path = TempPath("registry_options.aacm");
-  ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
-
-  {
-    ModelRegistry registry;  // default options: compiled sessions
-    ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
-    EXPECT_NE(registry.Lookup("m")->compiled_graph(), nullptr);
-  }
-  {
-    ModelRegistry registry;
-    InferenceSession::Options options;
-    options.compile = false;
-    registry.set_session_options(options);
-    ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
-    EXPECT_EQ(registry.Lookup("m")->compiled_graph(), nullptr);
-  }
   std::remove(path.c_str());
 }
 
@@ -657,7 +600,6 @@ TEST(QuantizedArtifactTest, Fp16RoundTripIsSmallerWithFingerprintIntact) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_EQ(loaded.value().encoding, TensorEncoding::kF16);
   EXPECT_EQ(loaded.value().fingerprint, stored);
-  EXPECT_NE(loaded.value().encoded_classifier_weight, nullptr);
 
   // Decoding is deterministic: two loads serve bitwise-identical logits.
   StatusOr<FrozenModel> again = LoadFrozenModel(f16_path);
@@ -1833,9 +1775,7 @@ TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
       RefreezeWithGraph(env.frozen(), replica.Compact(),
                         ExtendOpAssignment(env.frozen(), *replica.Compact()));
   ASSERT_TRUE(refrozen.ok()) << refrozen.status().message();
-  InferenceSession::Options interpret;
-  interpret.compile = false;
-  InferenceSession reference(refrozen.TakeValue(), interpret);
+  InferenceSession reference(refrozen.TakeValue());
   for (size_t i = 0; i < probes.size(); ++i) {
     std::string id = "r" + std::to_string(i);
     EXPECT_EQ(by_id[id], ExpectedLine(reference, id, probes[i])) << id;
@@ -2025,9 +1965,6 @@ TEST(ModelRegistryTest, MutationOverlayAcrossReloads) {
   std::string path = TempPath("mutation_reload.aacm");
   ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
   ModelRegistry registry;
-  InferenceSession::Options interpret;
-  interpret.compile = false;
-  registry.set_session_options(interpret);
   registry.set_mutation_options(/*enabled=*/true, /*staleness_ms=*/0);
   ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
 
@@ -2841,9 +2778,6 @@ TEST(InferenceServerTest, FailedReloadKeepsOldRegistryServing) {
   std::string path = TempPath("failed_reload.aacm");
   ASSERT_TRUE(SaveFrozenModel(env.frozen(), path).ok());
   ModelRegistry registry;
-  InferenceSession::Options interpret;
-  interpret.compile = false;
-  registry.set_session_options(interpret);
   ASSERT_TRUE(registry.LoadFromSpec("m=" + path, "").ok());
   ServerOptions options;
   options.tcp_port = 0;
