@@ -360,9 +360,8 @@ void BM_RegistryLookup(benchmark::State& state) {
     registry.Register(names.back(), session);
   }
   size_t next = 0;
-  std::string resolved;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(registry.Lookup(names[next], &resolved));
+    benchmark::DoNotOptimize(registry.Lookup(names[next]));
     next = (next + 1) % names.size();
   }
   state.SetItemsProcessed(state.iterations());

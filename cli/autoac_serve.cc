@@ -1,4 +1,4 @@
-// autoac_serve: batched inference serving for frozen AutoAC models.
+// autoac_serve: inference serving for frozen AutoAC models.
 //
 // Server (loads one or more artifacts, answers node-classification
 // requests):
@@ -12,9 +12,11 @@
 // and each response echoes the id:
 //   {"id":"r1","node":42,"label":3,"score":5.17,"latency_us":812}
 // Omitting "model" routes to the default model (the --model artifact, the
-// first --models entry, or the first *.aacm in --model_dir). A request
-// still queued when its deadline_ms expires is answered with a
-// {"error":"deadline exceeded"} line and never reaches the model.
+// first --models entry, or the first *.aacm in --model_dir). Each
+// connection's requests are answered in order on its own thread; a request
+// whose deadline_ms has passed (counted from arrival) when its turn comes is
+// answered with a {"error":"deadline exceeded"} line and never reaches the
+// model.
 //
 // SIGHUP atomically re-reads the artifact set from the --models/--model_dir
 // spec: in-flight requests finish against the sessions they resolved,
@@ -46,6 +48,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/mutable_graph.h"
@@ -77,14 +80,11 @@ const std::vector<Flags::Spec>& FlagTable() {
       {"model_dir", Type::kString},
       {"socket", Type::kString},
       {"port", Type::kInt},
-      {"max_batch", Type::kInt},
-      {"max_queue", Type::kInt},
       {"max_line_bytes", Type::kInt},
       {"rate_limit_rps", Type::kDouble},
       {"rate_limit_burst", Type::kDouble},
       {"idle_timeout_ms", Type::kInt},
       {"max_conns", Type::kInt},
-      {"max_inflight_per_conn", Type::kInt},
       {"num_threads", Type::kInt},
       {"metrics_out", Type::kString},
       {"enable_mutations", Type::kBool},
@@ -106,11 +106,8 @@ void PrintUsage() {
   std::printf(
       "usage: autoac_serve (--model=PATH | --models=NAME=PATH[,..] |\n"
       "                     --model_dir=DIR) [--socket=PATH | --port=N]\n"
-      "  [--max_batch=16]        most requests per batch; the batcher\n"
-      "                          wakes on the first queued request and\n"
-      "                          drains what is waiting, never on a timer\n"
-      "  [--max_queue=1024]      bounded queue; overload evicts from the\n"
-      "                          connection with the most queued requests\n"
+      "  each connection's requests are answered in order on its own\n"
+      "  thread; a client that stops reading stalls only itself\n"
       "  [--max_line_bytes=65536] request-line bound; longer drops the\n"
       "                          connection\n"
       "  [--rate_limit_rps=0]    per-client token-bucket admission control\n"
@@ -120,9 +117,8 @@ void PrintUsage() {
       "  [--idle_timeout_ms=0]   reap connections idle this long (0 = off)\n"
       "  [--max_conns=0]         accept gate: refuse further connections\n"
       "                          with a structured max_conns line (0 = off)\n"
-      "  [--max_inflight_per_conn=0] per-connection queued-request cap\n"
       "  [--num_threads=N]       forward-pass threads (0 = default)\n"
-      "  [--metrics_out=PATH]    JSONL telemetry (latency, batch occupancy)\n"
+      "  [--metrics_out=PATH]    JSONL telemetry (per-request latency)\n"
       "  [--enable_mutations]    accept streaming graph deltas (\"op\":\n"
       "                          add_node / add_edge / remove_edge) and\n"
       "                          serve incrementally recomputed answers\n"
@@ -132,14 +128,13 @@ void PrintUsage() {
       "                          default model at startup (implies\n"
       "                          --enable_mutations)\n"
       "requests may carry \"model\" (routes by registry name),\n"
-      "\"deadline_ms\" (expired-in-queue requests get a distinct error),\n"
-      "\"qos\" (interactive|batch: interactive preempts batch in the\n"
-      "batcher, batch absorbs overload eviction first) and \"client\" (a\n"
-      "stable admission identity); mutations may carry\n"
-      "\"expect_fingerprint\" (hex; mismatch = error). Rejections are\n"
-      "structured: {\"error\":..,\"reason\":..,\"retry_after_ms\":..} with\n"
-      "reasons rate_limited, overloaded, inflight_limit, max_conns,\n"
-      "idle_timeout.\n"
+      "\"deadline_ms\" (counted from arrival; a request past it gets a\n"
+      "distinct error), \"qos\" (interactive|batch: accepted for older\n"
+      "clients, no effect) and \"client\" (a stable admission identity);\n"
+      "mutations may carry \"expect_fingerprint\" (hex; mismatch = error).\n"
+      "Rejections are structured:\n"
+      "{\"error\":..,\"reason\":..,\"retry_after_ms\":..} with reasons\n"
+      "rate_limited, max_conns, idle_timeout, fault_injected.\n"
       "SIGHUP re-reads the artifact set (fingerprint-unchanged artifacts\n"
       "keep their session *and* accumulated deltas; a changed fingerprint\n"
       "discards the deltas with the old session).\n"
@@ -266,11 +261,11 @@ int RunClient(const Flags& flags) {
     if (!client_name.empty()) out += ", \"client\": \"" + client_name + "\"";
     out += ", \"node\": " + std::to_string(nodes[i]) + "}\n";
   }
-  if (!SendAll(fd, out.data(), out.size())) {
-    std::fprintf(stderr, "error: send failed\n");
-    ::close(fd);
-    return 1;
-  }
+  // Send from a helper thread while this one reads: the server answers each
+  // line before reading the next, so a client that sent everything before
+  // reading would deadlock once both directions' socket buffers filled.
+  bool sent = false;
+  std::thread sender([&] { sent = SendAll(fd, out.data(), out.size()); });
   const size_t expected = feed.size() + nodes.size();
   size_t lines = 0;
   size_t rejected = 0;
@@ -311,7 +306,14 @@ int RunClient(const Flags& flags) {
     }
     pending.erase(0, start);
   }
+  // Unblocks a sender still writing to a server that has hung up.
+  ::shutdown(fd, SHUT_RDWR);
+  sender.join();
   ::close(fd);
+  if (!sent) {
+    std::fprintf(stderr, "error: send failed\n");
+    return 1;
+  }
   if (rejected > 0) {
     std::string breakdown;
     for (const auto& [reason, count] : reasons) {
@@ -579,22 +581,19 @@ int Run(int argc, char** argv) {
     std::fprintf(stderr, "error: need --socket or --port\n");
     return 64;
   }
-  options.max_batch = flags.GetInt("max_batch", options.max_batch);
-  options.max_queue = flags.GetInt("max_queue", options.max_queue);
   options.max_line_bytes =
       flags.GetInt("max_line_bytes", options.max_line_bytes);
   options.rate_limit_rps = flags.GetDouble("rate_limit_rps", 0.0);
   options.rate_limit_burst = flags.GetDouble("rate_limit_burst", 0.0);
   options.idle_timeout_ms = flags.GetInt("idle_timeout_ms", 0);
   options.max_conns = flags.GetInt("max_conns", 0);
-  options.max_inflight_per_conn = flags.GetInt("max_inflight_per_conn", 0);
   options.poll_hook = [&registry] {
     if (!g_sighup_pending) return;
     g_sighup_pending = 0;
     HandleSighupReload(&registry);
   };
   options.chaos_reload_hook = [&registry] {
-    // Forced mid-batch reload (chaos site serve_mid_batch_reload): same
+    // Forced mid-request reload (chaos site serve_mid_request_reload): same
     // all-or-nothing registry swap the SIGHUP path runs, without waiting
     // for a signal.
     (void)registry.Reload();
@@ -619,29 +618,21 @@ int Run(int argc, char** argv) {
   auto count = [](const char* name) {
     return static_cast<long long>(Telemetry::Get().GetCounter(name).value());
   };
-  long long batches = count("serve.batches");
-  double occupancy =
-      batches > 0 ? static_cast<double>(count("serve.batched_requests")) /
-                        (static_cast<double>(batches) *
-                         static_cast<double>(options.max_batch))
-                  : 0.0;
   std::printf(
       "shutdown: %lld connections, %lld requests, %lld responses, "
-      "%lld malformed, %lld unknown-model, %lld overlong, %lld shed, "
+      "%lld malformed, %lld unknown-model, %lld overlong, "
       "%lld deadline-expired, %lld write-errors, %lld mutations, "
-      "%lld dirty-rows, %lld partial-rows, %lld batches "
-      "(occupancy %.2f), %lld rate-limited, %lld idle-closed, "
-      "%lld conns-refused, %lld inflight-rejected, %lld reload-failures, "
+      "%lld dirty-rows, %lld partial-rows, %lld rate-limited, "
+      "%lld idle-closed, %lld conns-refused, %lld reload-failures, "
       "%lld feed-skipped, %lld faults-injected\n",
       count("serve.connections"), count("serve.requests"),
       count("serve.responses"), count("serve.malformed"),
       count("serve.unknown_model"), count("serve.overlong_lines"),
-      count("serve.shed"), count("serve.deadline_expired"),
-      count("serve.write_errors"), count("serve.mutations_applied"),
-      count("serve.dirty_rows"), count("mutable.partial_forward_rows"),
-      batches, occupancy, count("serve.rate_limited"),
+      count("serve.deadline_expired"), count("serve.write_errors"),
+      count("serve.mutations_applied"), count("serve.dirty_rows"),
+      count("mutable.partial_forward_rows"), count("serve.rate_limited"),
       count("serve.idle_closed"), count("serve.conns_refused"),
-      count("serve.inflight_rejected"), count("serve.reload_failures"),
+      count("serve.reload_failures"),
       static_cast<long long>(feed_skipped),
       static_cast<long long>(FaultTriggersObserved()));
   return 0;

@@ -11,13 +11,15 @@
 #      or corrupted on the way through.
 #   2. A CHAOS_SOAK_S-second (default 30) open-loop Poisson loadgen soak
 #      at AUTOAC_NUM_THREADS=4 against a rate-limited server with all
-#      four benign sites armed — including serve_mid_batch_reload, whose
-#      chaos hook hot-reloads the (unchanged) artifact mid-batch; pinned
-#      sessions must keep answering. Asserts: zero lost responses, every
-#      rate-limited rejection carries a retry hint, the server's fd count
-#      returns to its pre-soak baseline, and a clean SIGTERM audit where
-#      requests == responses + shed + deadline-expired, with zero
-#      write errors and a nonzero faults-injected count.
+#      four benign sites armed — including serve_mid_request_reload, whose
+#      chaos hook hot-reloads the (unchanged) artifact between pinning a
+#      request's session and answering it; pinned sessions must keep
+#      answering. Asserts: zero lost responses, every rate-limited
+#      rejection carries a retry hint, the server's fd count returns to its
+#      pre-soak baseline, and a clean SIGTERM audit where requests ==
+#      responses + deadline-expired (nothing is shed: each connection has
+#      one request in flight), with zero write errors and a nonzero
+#      faults-injected count.
 #
 # serve_mutation_apply is deliberately NOT armed here: it makes a
 # well-formed mutation fail by design, which serve_smoke's exact-ack
@@ -62,10 +64,9 @@ SOCK="${WORK}/serve.sock"
 # loadgen workers present 4 client identities at 60 rps each, so an
 # offered ${SOAK_RPS} rps must shed the excess as rate_limited (every
 # rejection carrying retry_after_ms) while admitted traffic is served.
-AUTOAC_FAULT_INJECT='serve_partial_write:*,serve_torn_read:*,serve_delayed_accept:*,serve_mid_batch_reload:*' \
+AUTOAC_FAULT_INJECT='serve_partial_write:*,serve_torn_read:*,serve_delayed_accept:*,serve_mid_request_reload:*' \
 AUTOAC_NUM_THREADS=4 \
   "${SERVE}" --model="${WORK}/model.aacm" --socket="${SOCK}" \
-  --max_batch=16 \
   --rate_limit_rps=60 --rate_limit_burst=120 \
   --idle_timeout_ms=5000 --max_conns=64 \
   --metrics_out="${WORK}/serve_metrics.jsonl" \
@@ -145,12 +146,11 @@ echo "${stats}"
 field() { sed -En "s/.* ([0-9]+) $1.*/\1/p" <<<"${stats}"; }
 requests="$(field requests,)"
 responses="$(field responses,)"
-shed="$(field shed,)"
 expired="$(field deadline-expired,)"
 faults="$(field faults-injected)"
 rate_limited="$(field rate-limited,)"
-if [ "${requests}" -ne "$((responses + shed + expired))" ]; then
-  echo "FAIL: ${requests} requests != ${responses} responses + ${shed} shed" \
+if [ "${requests}" -ne "$((responses + expired))" ]; then
+  echo "FAIL: ${requests} requests != ${responses} responses" \
        "+ ${expired} expired" >&2
   exit 1
 fi
@@ -169,5 +169,4 @@ fi
 
 echo "PASS: serve_smoke x3 fault sites -> ${SOAK_S}s soak (${faults} faults" \
      "absorbed, ${rate_limited} rate-limited with retry hints, fds stable," \
-     "${requests} requests = ${responses} responses + ${shed} shed +" \
-     "${expired} expired)"
+     "${requests} requests = ${responses} responses + ${expired} expired)"

@@ -83,7 +83,6 @@ fi
 
 echo "== server =="
 "${SERVE}" --model="${MODEL}" --socket="${SOCK}" \
-  --max_batch=4 \
   --metrics_out="${WORK}/serve_metrics.jsonl" \
   >"${WORK}/server.log" 2>&1 &
 SERVER_PID=$!
@@ -108,9 +107,9 @@ grep -q "${fingerprint}" "${WORK}/server.log" || {
 }
 
 echo "== idle CPU =="
-# An idle server must not poll its queue: sum every thread's on-CPU time
-# (the first schedstat field, in ns) across 5 s without traffic. The accept
-# loop's 100 ms poll stays far under the 10 ms bound; a batcher waking on a
+# An idle server must not spin: sum every thread's on-CPU time (the first
+# schedstat field, in ns) across 5 s without traffic. The accept loop's
+# 100 ms poll stays far under the 10 ms bound; a thread waking on a short
 # timer would not.
 server_cpu_ns() {
   cat /proc/"${SERVER_PID}"/task/*/schedstat | awk '{s += $1} END {printf "%.0f\n", s}'
@@ -190,9 +189,8 @@ echo "${stats}" | grep -q " ${total} requests, ${total} responses" || {
   echo "FAIL: expected ${total} requests and responses in: ${stats}" >&2
   exit 1
 }
-# Telemetry captured per-request latencies and per-batch occupancy.
+# Telemetry captured per-request latencies.
 grep -q '"type":"serve_request"' "${WORK}/serve_metrics.jsonl"
-grep -q '"type":"serve_batch"' "${WORK}/serve_metrics.jsonl"
 # The stats line and the JSONL registry snapshot read the same counters.
 line_requests="$(sed -En 's/.* ([0-9]+) requests,.*/\1/p' <<<"${stats}")"
 grep -q "\"type\":\"counter\",\"name\":\"serve.requests\",\"value\":${line_requests}," \
@@ -211,7 +209,6 @@ cp "${MODEL}" "${ARTIFACT_A}"
 cp "${MODEL2}" "${ARTIFACT_B}"
 SOCK2="${WORK}/serve2.sock"
 "${SERVE}" --models="a=${ARTIFACT_A},b=${ARTIFACT_B}" --socket="${SOCK2}" \
-  --max_batch=4 \
   >"${WORK}/server2.log" 2>&1 &
 SERVER_PID=$!
 
@@ -346,7 +343,6 @@ EOF
 
 "${SERVE}" --model="${MODEL}" --socket="${SOCK3}" \
   --enable_mutations --mutation_feed="${WORK}/feed-boot.jsonl" \
-  --max_batch=4 \
   --metrics_out="${WORK}/serve3_metrics.jsonl" \
   >"${WORK}/server3.log" 2>&1 &
 SERVER_PID=$!
@@ -483,7 +479,7 @@ if [ "${status}" -ne 0 ]; then
 fi
 grep '^shutdown:' "${WORK}/server3.log"
 # Socket-applied deltas: m1..m3 (the boot feed and the refused m4 are not
-# the batcher's). Dirty rows must be nonzero.
+# counted as socket mutations). Dirty rows must be nonzero.
 grep '^shutdown:' "${WORK}/server3.log" | \
   grep -Eq ' 3 mutations, [1-9][0-9]* dirty-rows' || {
   echo "FAIL: mutation counters do not add up in the shutdown line" >&2
@@ -524,7 +520,6 @@ echo "int8 artifact: ${i8_bytes} B vs fp32 ${f32_bytes} B"
 echo "== quantized routing + tolerance diff =="
 SOCK4="${WORK}/serve4.sock"
 "${SERVE}" --models="f32=${MODEL},i8=${MODEL_I8}" --socket="${SOCK4}" \
-  --max_batch=4 \
   >"${WORK}/server4.log" 2>&1 &
 SERVER_PID=$!
 for _ in $(seq 1 100); do

@@ -202,26 +202,24 @@ StatusOr<ModelRegistry::ReloadReport> ModelRegistry::ResolveAndSwap() {
 }
 
 std::shared_ptr<InferenceSession> ModelRegistry::Lookup(
-    const std::string& name, std::string* resolved) const {
-  return Lookup(name, resolved, nullptr);
+    const std::string& name) const {
+  return Lookup(name, nullptr);
 }
 
 std::shared_ptr<InferenceSession> ModelRegistry::Lookup(
-    const std::string& name, std::string* resolved,
+    const std::string& name,
     std::shared_ptr<MutableSession>* mutable_session) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::string& key = name.empty() ? default_name_ : name;
-  auto it = entries_.find(key);
+  auto it = entries_.find(name.empty() ? default_name_ : name);
   if (it == entries_.end()) return nullptr;
-  if (resolved != nullptr) *resolved = key;
   if (mutable_session != nullptr) *mutable_session = it->second.mutable_session;
   return it->second.session;
 }
 
 std::shared_ptr<MutableSession> ModelRegistry::LookupMutable(
-    const std::string& name, std::string* resolved) const {
+    const std::string& name) const {
   std::shared_ptr<MutableSession> overlay;
-  Lookup(name, resolved, &overlay);
+  Lookup(name, &overlay);
   return overlay;
 }
 

@@ -81,23 +81,19 @@ class ModelRegistry {
   StatusOr<ReloadReport> Reload();
 
   /// Session for `name`; the empty string resolves the default model.
-  /// Returns nullptr for unknown names. When `resolved` is non-null it
-  /// receives the concrete model name (so "" comes back as the default's
-  /// name — the server keys its per-model queues on it).
-  std::shared_ptr<InferenceSession> Lookup(
-      const std::string& name, std::string* resolved = nullptr) const;
+  /// Returns nullptr for unknown names.
+  std::shared_ptr<InferenceSession> Lookup(const std::string& name) const;
 
   /// Like Lookup, but also hands out the model's mutation overlay (nullptr
   /// when mutations are disabled) — one lock, so the pair is from the same
   /// registry generation even across a concurrent Reload.
   std::shared_ptr<InferenceSession> Lookup(
-      const std::string& name, std::string* resolved,
+      const std::string& name,
       std::shared_ptr<MutableSession>* mutable_session) const;
 
   /// The mutation overlay alone (nullptr when disabled or unknown); the
   /// CLI's --mutation_feed replay goes through this.
-  std::shared_ptr<MutableSession> LookupMutable(
-      const std::string& name, std::string* resolved = nullptr) const;
+  std::shared_ptr<MutableSession> LookupMutable(const std::string& name) const;
 
   /// One row per hosted model, for startup/reload logging.
   struct ModelInfo {

@@ -73,6 +73,7 @@ MutableSession::MutableSession(std::shared_ptr<InferenceSession> base,
 }
 
 int64_t MutableSession::num_targets() const {
+  std::lock_guard<std::mutex> lock(mu_);
   int64_t target = base_->frozen().graph->target_node_type();
   return target < 0 ? 0 : graph_.node_count(target);
 }
@@ -120,7 +121,19 @@ void MutableSession::InsertNodeRow(int64_t pos) {
   shift(dirty_h0_);
 }
 
+void MutableSession::CheckHeld(const std::unique_lock<std::mutex>& held) const {
+  AUTOAC_CHECK(held.mutex() == &mu_ && held.owns_lock())
+      << "caller does not hold this session's lock";
+}
+
 StatusOr<MutationResult> MutableSession::Apply(const Mutation& mutation) {
+  std::unique_lock<std::mutex> lock = Lock();
+  return Apply(mutation, lock);
+}
+
+StatusOr<MutationResult> MutableSession::Apply(
+    const Mutation& mutation, const std::unique_lock<std::mutex>& held) {
+  CheckHeld(held);
   const FrozenModel& fz = base_->frozen();
   if (!fz.has_completion) {
     return Status::Error(
@@ -197,7 +210,7 @@ StatusOr<MutationResult> MutableSession::Apply(const Mutation& mutation) {
   if (was_clean && !dirty_logits_.empty()) {
     first_dirty_ = std::chrono::steady_clock::now();
   }
-  if (options_.staleness_ms == 0) Flush();
+  if (options_.staleness_ms == 0) FlushLocked();
   return result;
 }
 
@@ -205,15 +218,22 @@ void MutableSession::MaybeFlushForRead() {
   if (options_.staleness_ms <= 0) {
     // staleness 0 flushes inside Apply; a dirty row here means a zero-bound
     // policy race is impossible, but flush defensively anyway.
-    Flush();
+    FlushLocked();
     return;
   }
   auto age = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - first_dirty_);
-  if (age.count() >= options_.staleness_ms) Flush();
+  if (age.count() >= options_.staleness_ms) FlushLocked();
 }
 
 StatusOr<InferenceSession::Prediction> MutableSession::Predict(int64_t node) {
+  std::unique_lock<std::mutex> lock = Lock();
+  return Predict(node, lock);
+}
+
+StatusOr<InferenceSession::Prediction> MutableSession::Predict(
+    int64_t node, const std::unique_lock<std::mutex>& held) {
+  CheckHeld(held);
   int64_t target = base_->frozen().graph->target_node_type();
   if (target < 0) {
     return Status::Error("frozen model has no target node type");
@@ -240,6 +260,11 @@ StatusOr<InferenceSession::Prediction> MutableSession::Predict(int64_t node) {
 }
 
 void MutableSession::Flush() {
+  std::lock_guard<std::mutex> lock(mu_);
+  FlushLocked();
+}
+
+void MutableSession::FlushLocked() {
   if (dirty_logits_.empty() && dirty_h0_.empty()) return;
   std::vector<int64_t> dirty_logits(dirty_logits_.begin(),
                                     dirty_logits_.end());
@@ -375,12 +400,14 @@ void MutableSession::FlushFull() {
 }
 
 uint64_t MutableSession::LogitsDigest() {
-  Flush();
+  std::lock_guard<std::mutex> lock(mu_);
+  FlushLocked();
   return DigestTensor(kFnvOffsetBasis, logits_);
 }
 
 const Tensor& MutableSession::FlushedLogits() {
-  Flush();
+  std::lock_guard<std::mutex> lock(mu_);
+  FlushLocked();
   return logits_;
 }
 

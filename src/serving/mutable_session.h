@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -59,6 +60,13 @@ struct MutationResult {
 /// from-scratch refreeze (RefreezeWithGraph). Both paths are bitwise
 /// identical to exporting the mutated graph from scratch — the headline
 /// invariant the mutation-equivalence suite enforces at every thread count.
+///
+/// Thread safety: one lock per session serializes Apply, Predict, Flush,
+/// LogitsDigest, FlushedLogits and the observability getters, so any
+/// number of threads may share a session. A caller that must decide
+/// something after waiting for the lock (the server checks a request's
+/// deadline there) takes it with Lock() and hands it to the Apply/Predict
+/// overloads that accept it.
 class MutableSession {
  public:
   struct Options {
@@ -76,9 +84,6 @@ class MutableSession {
 
   const FrozenModel& frozen() const { return base_->frozen(); }
   uint64_t fingerprint() const { return base_->frozen().fingerprint; }
-  /// The live overlay. Tests build the from-scratch reference re-export
-  /// from its compacted graph; the CLI reports its version().
-  MutableGraph& graph() { return graph_; }
   int64_t num_targets() const;
   int64_t num_classes() const { return base_->frozen().num_classes; }
 
@@ -89,6 +94,9 @@ class MutableSession {
   /// dirty frontier is expanded; with staleness_ms == 0 the recompute also
   /// runs before returning.
   StatusOr<MutationResult> Apply(const Mutation& mutation);
+  /// Apply under `held`, this session's lock as returned by Lock().
+  StatusOr<MutationResult> Apply(const Mutation& mutation,
+                                 const std::unique_lock<std::mutex>& held);
 
   /// Prediction for a target-type node addressed by its *current*
   /// type-local id — nodes added after export are addressable as soon as
@@ -96,6 +104,14 @@ class MutableSession {
   /// O(classes) row lookup exactly like InferenceSession::Predict; dirty
   /// rows follow the staleness policy.
   StatusOr<InferenceSession::Prediction> Predict(int64_t node);
+  /// Predict under `held`, this session's lock as returned by Lock().
+  StatusOr<InferenceSession::Prediction> Predict(
+      int64_t node, const std::unique_lock<std::mutex>& held);
+
+  /// Takes this session's lock (see the class comment).
+  std::unique_lock<std::mutex> Lock() {
+    return std::unique_lock<std::mutex>(mu_);
+  }
 
   /// Recomputes every dirty row now (partial when possible, full refreeze
   /// otherwise) and clears the frontier. No-op when clean.
@@ -107,23 +123,33 @@ class MutableSession {
   uint64_t LogitsDigest();
 
   /// Full current logits [num_nodes, num_classes] (row = global id).
-  /// Flushes first so the matrix is exact.
+  /// Flushes first so the matrix is exact. The reference stays valid until
+  /// the next Apply or flush; read it while no other thread calls one.
   const Tensor& FlushedLogits();
 
   // --- observability (per overlay) ------------------------------------------
-  int64_t mutations_applied() const { return mutations_applied_; }
+  int64_t mutations_applied() const { return Read(mutations_applied_); }
   /// Logits rows recomputed via the partial (subgraph) path. Each flush
   /// also adds them to the process-wide counter
   /// `mutable.partial_forward_rows` (DESIGN.md §8).
-  int64_t partial_forward_rows() const { return partial_forward_rows_; }
-  int64_t partial_recomputes() const { return partial_recomputes_; }
-  int64_t full_recomputes() const { return full_recomputes_; }
+  int64_t partial_forward_rows() const { return Read(partial_forward_rows_); }
+  int64_t partial_recomputes() const { return Read(partial_recomputes_); }
+  int64_t full_recomputes() const { return Read(full_recomputes_); }
   /// Rows currently dirty (awaiting a flush).
   int64_t pending_dirty_rows() const {
+    std::lock_guard<std::mutex> lock(mu_);
     return static_cast<int64_t>(dirty_logits_.size());
   }
 
  private:
+  int64_t Read(const int64_t& field) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return field;
+  }
+  /// Dies unless `held` owns this session's lock.
+  void CheckHeld(const std::unique_lock<std::mutex>& held) const;
+  /// Flush() for a caller that holds the lock.
+  void FlushLocked();
   /// Folds rows into the dirty sets. `logits_rows` / `h0_rows` are the
   /// influence balls of one delta — the union of the balls on the graph
   /// before and after applying it (a removal's influence flowed through
@@ -144,6 +170,9 @@ class MutableSession {
 
   std::shared_ptr<InferenceSession> base_;
   Options options_;
+
+  /// Guards every member below.
+  mutable std::mutex mu_;
   MutableGraph graph_;
   Tensor h0_;      // current completed H0 (exact for clean rows)
   Tensor logits_;  // current logits cache (exact for clean rows)

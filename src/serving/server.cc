@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -29,6 +30,22 @@ int64_t NowMicros() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+/// How long a stopping server waits for its readers to answer the lines
+/// they already received before it cuts their sockets.
+constexpr std::chrono::seconds kDrainGrace{1};
+
+/// Absolute expiry (NowMicros scale) of a request that arrived at
+/// `arrival_us` with `deadline_ms`; -1 when it has none. A deadline past the
+/// clock's range is the most generous one there is, so it saturates to none
+/// instead of overflowing.
+int64_t DeadlineUs(int64_t arrival_us, int64_t deadline_ms) {
+  if (deadline_ms < 0 ||
+      deadline_ms > (std::numeric_limits<int64_t>::max() - arrival_us) / 1000) {
+    return -1;
+  }
+  return arrival_us + deadline_ms * 1000;
 }
 
 // --- minimal JSON helpers ---------------------------------------------------
@@ -82,16 +99,20 @@ struct Scanner {
   }
   bool ParseInt(int64_t* out) {
     SkipSpace();
+    // The JSON integer token exactly, -?(0|[1-9][0-9]*): no '+' and no
+    // leading zeros, so a numeric id echoes back as sent. std::from_chars
+    // converts exactly that token; overflow is malformed, not INT64_MAX.
     size_t start = i;
-    if (i < s.size() && (s[i] == '-' || s[i] == '+')) ++i;
+    if (i < s.size() && s[i] == '-') ++i;
     size_t digits = i;
     while (i < s.size() && std::isdigit(static_cast<unsigned char>(s[i]))) {
       ++i;
     }
-    if (i == digits) return false;
-    errno = 0;
-    int64_t value = std::strtoll(s.c_str() + start, nullptr, 10);
-    if (errno == ERANGE) return false;  // overflow is malformed, not INT64_MAX
+    if (i == digits || (s[digits] == '0' && i - digits > 1)) return false;
+    int64_t value = 0;
+    std::from_chars_result parsed =
+        std::from_chars(s.data() + start, s.data() + i, value);
+    if (parsed.ec != std::errc() || parsed.ptr != s.data() + i) return false;
     *out = value;
     return true;
   }
@@ -223,12 +244,13 @@ bool ParseServeRequestLine(const std::string& line, ServeRequest* request,
             return false;
           }
         } else {
+          size_t token = sc.i;
           int64_t v = 0;
           if (!sc.ParseInt(&v)) {
             *error = "malformed \"id\" value";
             return false;
           }
-          request->id = std::to_string(v);
+          request->id = line.substr(token, sc.i - token);
         }
       } else if (key == "node") {
         if (!sc.ParseInt(&request->node)) {
@@ -251,16 +273,14 @@ bool ParseServeRequestLine(const std::string& line, ServeRequest* request,
         }
         request->deadline_ms = v;
       } else if (key == "qos") {
+        // Validated so a typo still fails loudly, then dropped: every
+        // request is answered in arrival order on its connection.
         std::string qos;
         if (!sc.ParseString(&qos)) {
           *error = "malformed \"qos\" value (string expected)";
           return false;
         }
-        if (qos == "interactive") {
-          request->qos = QosClass::kInteractive;
-        } else if (qos == "batch") {
-          request->qos = QosClass::kBatch;
-        } else {
+        if (qos != "interactive" && qos != "batch") {
           *error = "unknown \"qos\" value \"" + qos +
                    "\" (want interactive or batch)";
           return false;
@@ -476,8 +496,6 @@ InferenceServer::InferenceServer(ModelRegistry* registry,
                                               options_.rate_limit_burst,
                                               /*max_clients=*/4096}) {
   AUTOAC_CHECK(registry_ != nullptr);
-  AUTOAC_CHECK(options_.max_batch > 0) << "max_batch must be positive";
-  AUTOAC_CHECK(options_.max_queue > 0) << "max_queue must be positive";
   AUTOAC_CHECK(options_.max_line_bytes > 0)
       << "max_line_bytes must be positive";
 }
@@ -488,7 +506,6 @@ int64_t InferenceServer::ClockNow() const {
 
 InferenceServer::~InferenceServer() {
   Stop();
-  if (batcher_.joinable()) batcher_.join();
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& conn : connections_) {
@@ -548,7 +565,6 @@ Status InferenceServer::Start() {
     return Status::Error(std::string("listen failed: ") +
                          std::strerror(errno));
   }
-  batcher_ = std::thread(&InferenceServer::BatcherLoop, this);
   return Status::Ok();
 }
 
@@ -556,22 +572,7 @@ bool InferenceServer::Stopping() const {
   return stop_.load(std::memory_order_relaxed) || ShutdownRequested();
 }
 
-void InferenceServer::Stop() {
-  {
-    // Set under mu_: the batcher evaluates its wait predicate holding mu_,
-    // so the flag cannot land between that check and the wait and have the
-    // notify below miss an untimed wait.
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_.store(true, std::memory_order_relaxed);
-  }
-  queue_cv_.notify_all();
-}
-
-int64_t InferenceServer::RetryAfterMsLocked() const {
-  int64_t batches_ahead =
-      (queued_total_ + options_.max_batch - 1) / options_.max_batch;
-  return std::max<int64_t>(1, (batches_ahead * last_batch_us_ + 999) / 1000);
-}
+void InferenceServer::Stop() { stop_.store(true, std::memory_order_relaxed); }
 
 void InferenceServer::ReapFinishedReaders() {
   std::vector<uint64_t> finished;
@@ -633,14 +634,23 @@ void InferenceServer::Serve() {
     readers_.emplace(id, std::thread(&InferenceServer::ReaderLoop, this, id,
                                      std::move(conn)));
   }
-  // Cooperative wind-down: stop accepting, unblock the readers, drain the
-  // queue through the batcher, then join everything so callers observe a
+  // Cooperative wind-down: stop accepting and reading; each reader answers
+  // the lines it already received, then exits. A reader still running
+  // after the grace period is stuck (typically writing to a peer that never
+  // reads), so its socket is shut down in both directions: the write fails
+  // and the reader exits. Then every thread is joined, so callers observe a
   // fully quiesced server when Serve() returns.
   Stop();
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     for (const auto& conn : connections_) {
       if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RD);
+    }
+    if (!reader_exited_.wait_for(lock, kDrainGrace,
+                                 [&] { return connections_.empty(); })) {
+      for (const auto& conn : connections_) {
+        if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
+      }
     }
   }
   for (auto& [id, thread] : readers_) {
@@ -652,204 +662,24 @@ void InferenceServer::Serve() {
     std::lock_guard<std::mutex> lock(mu_);
     finished_readers_.clear();
   }
-  queue_cv_.notify_all();
-  if (batcher_.joinable()) batcher_.join();
 }
 
-bool InferenceServer::WriteLine(const std::shared_ptr<Connection>& conn,
+bool InferenceServer::WriteLine(const Connection& conn,
                                 const std::string& line) {
-  bool sent;
-  {
-    std::lock_guard<std::mutex> lock(conn->write_mu);
-    sent = SendAll(conn->fd, line.data(), line.size());
-  }
+  bool sent = SendAll(conn.fd, line.data(), line.size());
   if (!sent) AUTOAC_COUNTER_ADD("serve.write_errors", 1);
   return sent;
 }
 
-bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
-                                  std::string* pending) {
+bool InferenceServer::IngestLines(const Connection& conn, std::string* pending,
+                                  int64_t arrival_us) {
   size_t start = 0;
   for (size_t nl = pending->find('\n', start); nl != std::string::npos;
        nl = pending->find('\n', start)) {
     std::string line = pending->substr(start, nl - start);
     start = nl + 1;
     if (line.empty()) continue;
-    ServeRequest request;
-    std::string error;
-    if (!ParseServeRequestLine(line, &request, &error)) {
-      AUTOAC_COUNTER_ADD("serve.malformed", 1);
-      WriteLine(conn, FormatServeError(request.id, error));
-      continue;
-    }
-    // Admission control runs before any heavier work (model resolution,
-    // queue locks): a rejected request costs one bucket lookup. Identity is
-    // the request's "client" key when present — one quota spanning that
-    // client's connections — and the connection itself otherwise.
-    if (admission_.enabled()) {
-      const std::string& identity =
-          request.client.empty() ? conn->identity : request.client;
-      int64_t retry_after_ms = 0;
-      if (!admission_.Admit(identity, ClockNow(), &retry_after_ms)) {
-        AUTOAC_COUNTER_ADD("serve.rate_limited", 1);
-        WriteLine(conn, FormatServeReject(request.id, "rate limited",
-                                          "rate_limited", retry_after_ms));
-        continue;
-      }
-    }
-    if (options_.max_inflight_per_conn > 0) {
-      bool over;
-      int64_t retry_after_ms = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        over = conn->queued >= options_.max_inflight_per_conn;
-        if (over) retry_after_ms = RetryAfterMsLocked();
-      }
-      if (over) {
-        AUTOAC_COUNTER_ADD("serve.inflight_rejected", 1);
-        WriteLine(conn,
-                  FormatServeReject(
-                      request.id,
-                      "too many requests in flight on this connection",
-                      "inflight_limit", retry_after_ms));
-        continue;
-      }
-    }
-    // Resolve the model now: the session is pinned for the lifetime of
-    // the queued request, so a hot reload never changes what an already
-    // accepted request is answered from.
-    std::string resolved_model;
-    std::shared_ptr<MutableSession> mutable_session;
-    std::shared_ptr<InferenceSession> session =
-        registry_->Lookup(request.model, &resolved_model, &mutable_session);
-    if (session == nullptr) {
-      AUTOAC_COUNTER_ADD("serve.unknown_model", 1);
-      WriteLine(conn,
-                FormatServeError(request.id,
-                                 "unknown model \"" + request.model + "\""));
-      continue;
-    }
-    if (request.is_mutation && mutable_session == nullptr) {
-      WriteLine(conn,
-                FormatServeError(request.id,
-                                 "mutations disabled (start the server "
-                                 "with --enable_mutations)"));
-      continue;
-    }
-    int64_t now = NowMicros();
-    Pending entry{conn,
-                  std::move(request),
-                  std::move(session),
-                  std::move(mutable_session),
-                  now,
-                  /*deadline_us=*/-1};
-    if (entry.request.deadline_ms >= 0) {
-      entry.deadline_us = now + entry.request.deadline_ms * 1000;
-    }
-    // Overload policy (DESIGN.md §13): batch-class entries absorb eviction
-    // first — an interactive arrival preempts queued batch work, and an
-    // incoming batch request never displaces queued interactive work.
-    // Within the eligible class, evict from the connection with the most
-    // queued requests (the incoming request itself when its connection is
-    // the most loaded), so a single flooding client loses its own newest
-    // request and everyone else's traffic keeps flowing.
-    std::shared_ptr<Connection> victim_conn;
-    std::string victim_id;
-    bool shed_incoming = false;
-    int64_t retry_after_ms = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // Counted before the overload decision, so a shed request is one of
-      // `requests` too; under mu_, so the count and the enqueue land in
-      // one critical section.
-      AUTOAC_COUNTER_ADD("serve.requests", 1);
-      if (queued_total_ >= options_.max_queue) {
-        retry_after_ms = RetryAfterMsLocked();
-        bool victim_from_batch = queued_total_ > queued_interactive_;
-        if (!victim_from_batch &&
-            entry.request.qos == QosClass::kBatch) {
-          // Only interactive work is queued; the incoming batch request
-          // yields.
-          shed_incoming = true;
-        } else {
-          int64_t max_queued = 0;
-          for (const auto& [name, mq] : queues_) {
-            (void)name;
-            const std::deque<Pending>& q =
-                victim_from_batch ? mq.batch : mq.interactive;
-            for (const Pending& p : q) {
-              max_queued = std::max(max_queued, p.conn->queued);
-            }
-          }
-          // An interactive arrival competing against batch victims always
-          // wins the slot; same-class arrivals from the most-loaded
-          // connection shed themselves.
-          bool incoming_eligible =
-              !victim_from_batch ||
-              entry.request.qos == QosClass::kBatch;
-          if (incoming_eligible && conn->queued >= max_queued) {
-            shed_incoming = true;
-          } else {
-            // Newest entry of the most-loaded connection in the eligible
-            // class.
-            std::deque<Pending>* victim_queue = nullptr;
-            std::deque<Pending>::iterator victim_it;
-            int64_t victim_enqueued = -1;
-            for (auto& [name, mq] : queues_) {
-              (void)name;
-              std::deque<Pending>& q =
-                  victim_from_batch ? mq.batch : mq.interactive;
-              for (auto it = q.begin(); it != q.end(); ++it) {
-                // >=: queues are FIFO, so on a timestamp tie (microsecond
-                // granularity) the later position is the newer request.
-                if (it->conn->queued == max_queued &&
-                    it->enqueued_us >= victim_enqueued) {
-                  victim_enqueued = it->enqueued_us;
-                  victim_queue = &q;
-                  victim_it = it;
-                }
-              }
-            }
-            AUTOAC_CHECK(victim_queue != nullptr);
-            victim_conn = victim_it->conn;
-            victim_id = victim_it->request.id;
-            --victim_it->conn->queued;
-            victim_queue->erase(victim_it);
-            --queued_total_;
-            if (!victim_from_batch) --queued_interactive_;
-            for (auto it = queues_.begin(); it != queues_.end();) {
-              it = it->second.empty() ? queues_.erase(it) : std::next(it);
-            }
-          }
-        }
-      }
-      if (!shed_incoming) {
-        ++conn->queued;
-        ++queued_total_;
-        ModelQueues& mq = queues_[resolved_model];
-        if (entry.request.qos == QosClass::kInteractive) {
-          ++queued_interactive_;
-          mq.interactive.push_back(std::move(entry));
-        } else {
-          mq.batch.push_back(std::move(entry));
-        }
-      }
-    }
-    if (victim_conn != nullptr || shed_incoming) {
-      AUTOAC_COUNTER_ADD("serve.shed", 1);
-    }
-    if (victim_conn != nullptr) {
-      WriteLine(victim_conn,
-                FormatServeReject(victim_id, "overloaded", "overloaded",
-                                  retry_after_ms));
-    }
-    if (shed_incoming) {
-      WriteLine(conn,
-                FormatServeReject(entry.request.id, "overloaded",
-                                  "overloaded", retry_after_ms));
-    } else {
-      queue_cv_.notify_one();
-    }
+    if (!Answer(conn, line, arrival_us)) return false;  // peer gone
   }
   pending->erase(0, start);
   if (static_cast<int64_t>(pending->size()) > options_.max_line_bytes) {
@@ -860,6 +690,137 @@ bool InferenceServer::IngestLines(const std::shared_ptr<Connection>& conn,
                           std::to_string(options_.max_line_bytes) +
                           " bytes"));
     return false;  // unbounded buffer growth: drop the connection
+  }
+  return true;
+}
+
+bool InferenceServer::Answer(const Connection& conn, const std::string& line,
+                             int64_t arrival_us) {
+  ServeRequest request;
+  std::string error;
+  if (!ParseServeRequestLine(line, &request, &error)) {
+    AUTOAC_COUNTER_ADD("serve.malformed", 1);
+    return WriteLine(conn, FormatServeError(request.id, error));
+  }
+  // Admission control runs before any heavier work (model resolution, the
+  // overlay lock): a rejected request costs one bucket lookup. Identity is
+  // the request's "client" key when present — one quota spanning that
+  // client's connections — and the connection itself otherwise.
+  if (admission_.enabled()) {
+    const std::string& identity =
+        request.client.empty() ? conn.identity : request.client;
+    int64_t retry_after_ms = 0;
+    if (!admission_.Admit(identity, ClockNow(), &retry_after_ms)) {
+      AUTOAC_COUNTER_ADD("serve.rate_limited", 1);
+      return WriteLine(conn, FormatServeReject(request.id, "rate limited",
+                                               "rate_limited", retry_after_ms));
+    }
+  }
+  // Resolve the model and pin what it resolves to: a hot reload from here
+  // on swaps the registry entry, never this request's session.
+  std::shared_ptr<MutableSession> overlay;
+  std::shared_ptr<InferenceSession> session =
+      registry_->Lookup(request.model, &overlay);
+  if (session == nullptr) {
+    AUTOAC_COUNTER_ADD("serve.unknown_model", 1);
+    return WriteLine(conn, FormatServeError(request.id, "unknown model \"" +
+                                                            request.model +
+                                                            "\""));
+  }
+  if (request.is_mutation && overlay == nullptr) {
+    return WriteLine(conn,
+                     FormatServeError(request.id,
+                                      "mutations disabled (start the server "
+                                      "with --enable_mutations)"));
+  }
+  AUTOAC_COUNTER_ADD("serve.requests", 1);
+  // Chaos: run a hot reload between pinning and answering. The request must
+  // still be answered from its pinned session.
+  if (options_.chaos_reload_hook &&
+      FaultTriggered("serve_mid_request_reload")) {
+    options_.chaos_reload_hook();
+  }
+
+  const int64_t deadline_us = DeadlineUs(arrival_us, request.deadline_ms);
+  std::string response;
+  bool answered = false;  // a prediction or an applied mutation
+  InferenceSession::Prediction prediction;
+  MutationResult mutation_result;
+  int64_t latency_us = 0;
+  {
+    // A model with a mutation overlay answers all its predictions from the
+    // overlay, under the overlay's lock: a clean row is the same
+    // O(classes) lookup, a dirty row follows the staleness policy, and a
+    // flush blocks readers of this model only. The lock is released before
+    // the write, so a peer that stops reading stalls only its own reader.
+    std::unique_lock<std::mutex> overlay_lock;
+    if (overlay != nullptr) overlay_lock = overlay->Lock();
+    // Checked after any wait for the lock, just before the work it guards.
+    if (deadline_us >= 0 && NowMicros() > deadline_us) {
+      AUTOAC_COUNTER_ADD("serve.deadline_expired", 1);
+      response = FormatServeError(request.id, "deadline exceeded");
+    } else if (request.is_mutation) {
+      // Chaos: a validated mutation fails to apply — the client gets a
+      // structured error, counters stay consistent (nothing applied, no
+      // dirty rows), and the server keeps serving.
+      if (FaultTriggered("serve_mutation_apply")) {
+        response = FormatServeReject(request.id,
+                                     "injected mutation-apply fault",
+                                     "fault_injected", /*retry_after_ms=*/1);
+      } else {
+        StatusOr<MutationResult> applied =
+            overlay->Apply(request.mutation, overlay_lock);
+        latency_us = NowMicros() - arrival_us;
+        if (applied.ok()) {
+          answered = true;
+          mutation_result = applied.value();
+          AUTOAC_COUNTER_ADD("serve.mutations_applied", 1);
+          AUTOAC_COUNTER_ADD("serve.dirty_rows", mutation_result.dirty_rows);
+          response = FormatMutationResponse(request.id, request.mutation,
+                                            mutation_result, latency_us);
+        } else if (applied.status().message().find("(v1 artifact)") !=
+                   std::string::npos) {
+          // v1 artifacts (no completion section) refuse every mutation;
+          // give clients a machine-readable reason so feeders can stop
+          // retrying and surface the re-export hint, instead of
+          // string-matching error prose.
+          response = FormatServeReject(request.id, applied.status().message(),
+                                       "artifact_v1_immutable",
+                                       /*retry_after_ms=*/-1);
+        } else {
+          response = FormatServeError(request.id, applied.status().message());
+        }
+      }
+    } else {
+      StatusOr<InferenceSession::Prediction> predicted =
+          overlay != nullptr ? overlay->Predict(request.node, overlay_lock)
+                             : session->Predict(request.node);
+      latency_us = NowMicros() - arrival_us;
+      if (predicted.ok()) {
+        answered = true;
+        prediction = predicted.value();
+        response = FormatServeResponse(request.id, prediction, latency_us);
+      } else {
+        response = FormatServeError(request.id, predicted.status().message());
+      }
+    }
+  }
+  if (!WriteLine(conn, response)) return false;
+  if (!answered) return true;
+  AUTOAC_COUNTER_ADD("serve.responses", 1);
+  if (Telemetry::Enabled()) {
+    if (request.is_mutation) {
+      Telemetry::Get().Emit(
+          MetricRecord("serve_mutation")
+              .Add("op", MutationOpName(request.mutation.kind))
+              .Add("dirty_rows", mutation_result.dirty_rows)
+              .Add("latency_us", latency_us));
+    } else {
+      Telemetry::Get().Emit(MetricRecord("serve_request")
+                                .Add("node", prediction.node)
+                                .Add("label", prediction.label)
+                                .Add("latency_us", latency_us));
+    }
   }
   return true;
 }
@@ -891,7 +852,11 @@ void InferenceServer::ReaderLoop(uint64_t reader_id,
     ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;
-    last_activity_us = NowMicros();
+    // Every line these bytes complete arrived now: its latency and its
+    // deadline count from here, including any time spent behind the lines
+    // before it on this connection.
+    const int64_t arrival_us = NowMicros();
+    last_activity_us = arrival_us;
     size_t take = static_cast<size_t>(n);
     size_t first = take;
     // Chaos: withhold the tail of one recv, delivering it on a second
@@ -899,23 +864,22 @@ void InferenceServer::ReaderLoop(uint64_t reader_id,
     // two short network reads.
     if (take > 1 && FaultTriggered("serve_torn_read")) first = take / 2;
     pending.append(buf, first);
-    bool ok = IngestLines(conn, &pending);
+    bool ok = IngestLines(*conn, &pending, arrival_us);
     if (ok && first < take) {
       pending.append(buf + first, take - first);
-      ok = IngestLines(conn, &pending);
+      ok = IngestLines(*conn, &pending, arrival_us);
     }
     if (!ok) break;
   }
   if (idle_kill) {
     AUTOAC_COUNTER_ADD("serve.idle_closed", 1);
-    WriteLine(conn, FormatServeReject("", "idle timeout", "idle_timeout",
-                                      /*retry_after_ms=*/-1));
+    WriteLine(*conn, FormatServeReject("", "idle timeout", "idle_timeout",
+                                       /*retry_after_ms=*/-1));
   }
-  // Client gone (or this server is being dropped): stop both directions so
-  // a batcher mid-write fails fast, prune the connection from the live
-  // list, and hand the thread to the accept loop for joining. The fd
-  // itself closes in ~Connection once the last queued request or write
-  // releases it — never while another thread could still be using it.
+  // Client gone (or this server is being dropped): stop both directions,
+  // prune the connection from the live list, and hand the thread to the
+  // accept loop for joining. The fd itself closes in ~Connection once the
+  // live list and this reader have both released it.
   ::shutdown(conn->fd, SHUT_RDWR);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -924,177 +888,7 @@ void InferenceServer::ReaderLoop(uint64_t reader_id,
         connections_.end());
     finished_readers_.push_back(reader_id);
   }
-}
-
-void InferenceServer::BatcherLoop() {
-  int64_t service_us = 0;  // the previous batch's dispatch time
-  for (;;) {
-    std::vector<Pending> batch;
-    std::vector<Pending> expired;
-    int64_t queue_depth = 0;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      last_batch_us_ = service_us;
-      // Blocks until work arrives: no timer, so an idle server never wakes
-      // and a lone request is dispatched at once. Whatever queued while the
-      // previous batch ran is drained below, up to max_batch.
-      queue_cv_.wait(lock, [&] { return Stopping() || queued_total_ > 0; });
-      if (queued_total_ == 0) return;  // stopping with nothing left
-      int64_t now = NowMicros();
-      // Round-robin across the per-model queues: each slot of the batch is
-      // taken from the next model after the previous slot's, so a model
-      // with a deep queue gets at most its fair share per batch. QoS:
-      // interactive entries across all models fill slots first; batch
-      // entries only take what remains, so saturating batch traffic delays
-      // but never starves interactive work.
-      while (static_cast<int64_t>(batch.size()) < options_.max_batch &&
-             queued_total_ > 0) {
-        bool take_interactive = queued_interactive_ > 0;
-        std::string& cursor =
-            take_interactive ? rr_interactive_ : rr_batch_;
-        auto next_with = [&](std::map<std::string, ModelQueues>::iterator
-                                 from) {
-          for (auto it = from; it != queues_.end(); ++it) {
-            const std::deque<Pending>& q = take_interactive
-                                               ? it->second.interactive
-                                               : it->second.batch;
-            if (!q.empty()) return it;
-          }
-          return queues_.end();
-        };
-        auto it = next_with(queues_.upper_bound(cursor));
-        if (it == queues_.end()) it = next_with(queues_.begin());
-        AUTOAC_CHECK(it != queues_.end());
-        cursor = it->first;
-        std::deque<Pending>& q =
-            take_interactive ? it->second.interactive : it->second.batch;
-        Pending entry = std::move(q.front());
-        q.pop_front();
-        if (it->second.empty()) queues_.erase(it);
-        --queued_total_;
-        if (take_interactive) --queued_interactive_;
-        --entry.conn->queued;
-        if (entry.deadline_us >= 0 && now > entry.deadline_us) {
-          expired.push_back(std::move(entry));
-          continue;  // never reaches Predict
-        }
-        batch.push_back(std::move(entry));
-      }
-      queue_depth = queued_total_;
-    }
-    AUTOAC_COUNTER_ADD("serve.deadline_expired",
-                       static_cast<int64_t>(expired.size()));
-    if (!batch.empty()) {
-      AUTOAC_COUNTER_ADD("serve.batches", 1);
-      AUTOAC_COUNTER_ADD("serve.batched_requests",
-                         static_cast<int64_t>(batch.size()));
-    }
-    int64_t dispatch_start_us = NowMicros();
-    for (const Pending& entry : expired) {
-      WriteLine(entry.conn,
-                FormatServeError(entry.request.id, "deadline exceeded"));
-    }
-    // Chaos: run a hot reload between batch assembly and execution. The
-    // batch below must still be answered from its pinned sessions — the
-    // reload swaps the registry, never in-flight work.
-    if (!batch.empty() && options_.chaos_reload_hook &&
-        FaultTriggered("serve_mid_batch_reload")) {
-      options_.chaos_reload_hook();
-    }
-    for (const Pending& entry : batch) {
-      if (entry.request.is_mutation) {
-        // Chaos: a validated mutation fails to apply — the client gets a
-        // structured error, counters stay consistent (nothing applied, no
-        // dirty rows), and the server keeps serving.
-        if (FaultTriggered("serve_mutation_apply")) {
-          int64_t retry_after_ms;
-          {
-            std::lock_guard<std::mutex> lock(mu_);
-            retry_after_ms = RetryAfterMsLocked();
-          }
-          WriteLine(entry.conn,
-                    FormatServeReject(entry.request.id,
-                                      "injected mutation-apply fault",
-                                      "fault_injected", retry_after_ms));
-          continue;
-        }
-        StatusOr<MutationResult> applied =
-            entry.mutable_session->Apply(entry.request.mutation);
-        int64_t latency_us = NowMicros() - entry.enqueued_us;
-        if (!applied.ok()) {
-          const std::string& message = applied.status().message();
-          // v1 artifacts (no completion section) refuse every mutation;
-          // give clients a machine-readable reason so feeders can stop
-          // retrying and surface the re-export hint, instead of
-          // string-matching error prose.
-          if (message.find("(v1 artifact)") != std::string::npos) {
-            WriteLine(entry.conn,
-                      FormatServeReject(entry.request.id, message,
-                                        "artifact_v1_immutable",
-                                        /*retry_after_ms=*/-1));
-          } else {
-            WriteLine(entry.conn,
-                      FormatServeError(entry.request.id, message));
-          }
-          continue;
-        }
-        AUTOAC_COUNTER_ADD("serve.mutations_applied", 1);
-        AUTOAC_COUNTER_ADD("serve.dirty_rows", applied.value().dirty_rows);
-        if (WriteLine(entry.conn,
-                      FormatMutationResponse(entry.request.id,
-                                             entry.request.mutation,
-                                             applied.value(), latency_us))) {
-          AUTOAC_COUNTER_ADD("serve.responses", 1);
-        }
-        if (Telemetry::Enabled()) {
-          Telemetry::Get().Emit(
-              MetricRecord("serve_mutation")
-                  .Add("op", MutationOpName(entry.request.mutation.kind))
-                  .Add("dirty_rows", applied.value().dirty_rows)
-                  .Add("latency_us", latency_us));
-        }
-        continue;
-      }
-      // A model with a mutation overlay answers *all* its predictions from
-      // the overlay — a clean row is the same O(classes) lookup, and a dirty
-      // row follows the staleness policy instead of serving pre-delta state.
-      StatusOr<InferenceSession::Prediction> prediction =
-          entry.mutable_session != nullptr
-              ? entry.mutable_session->Predict(entry.request.node)
-              : entry.session->Predict(entry.request.node);
-      int64_t latency_us = NowMicros() - entry.enqueued_us;
-      if (!prediction.ok()) {
-        WriteLine(entry.conn, FormatServeError(
-                                  entry.request.id,
-                                  prediction.status().message()));
-        continue;
-      }
-      if (WriteLine(entry.conn,
-                    FormatServeResponse(entry.request.id,
-                                        prediction.value(), latency_us))) {
-        AUTOAC_COUNTER_ADD("serve.responses", 1);
-      }
-      if (Telemetry::Enabled()) {
-        Telemetry::Get().Emit(MetricRecord("serve_request")
-                                  .Add("node", prediction.value().node)
-                                  .Add("label", prediction.value().label)
-                                  .Add("latency_us", latency_us));
-      }
-    }
-    if (!batch.empty() && Telemetry::Enabled()) {
-      Telemetry::Get().Emit(
-          MetricRecord("serve_batch")
-              .Add("size", static_cast<int64_t>(batch.size()))
-              .Add("capacity", options_.max_batch)
-              .Add("occupancy", static_cast<double>(batch.size()) /
-                                    static_cast<double>(options_.max_batch))
-              .Add("queue_depth", queue_depth)
-              // Flat across batches in steady state: Predict is an
-              // allocation-free row scan of the cached logits.
-              .Add("tensor_buffers_allocated", TensorBuffersAllocated()));
-    }
-    service_us = NowMicros() - dispatch_start_us;
-  }
+  reader_exited_.notify_all();
 }
 
 }  // namespace autoac

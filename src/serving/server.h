@@ -4,7 +4,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -21,14 +20,6 @@
 
 namespace autoac {
 
-/// Scheduling class of one request (DESIGN.md §13). Interactive requests
-/// are drained from the queues before batch requests and are never evicted
-/// while a batch request is queued; batch requests absorb overload first.
-enum class QosClass {
-  kInteractive,
-  kBatch,
-};
-
 /// One newline-delimited JSON request. Predictions:
 ///   {"id": "...", "node": N, "model": "...", "deadline_ms": M,
 ///    "qos": "interactive"|"batch", "client": "..."}
@@ -36,9 +27,11 @@ enum class QosClass {
 /// may be a JSON string or number); `node` is the target-type-local node
 /// id to classify; `model` routes to a hosted model by registry name
 /// (optional, empty = default model); `deadline_ms` is an optional
-/// client-side deadline relative to arrival — a request still queued when
-/// it expires is answered with a distinct "deadline exceeded" error and
-/// never reaches Predict. `qos` is optional (default "interactive");
+/// client-side deadline relative to arrival — a request whose deadline has
+/// passed when its turn comes is answered with a distinct "deadline
+/// exceeded" error and never reaches Predict. `qos` is accepted for
+/// compatibility with older clients (interactive|batch, validated, then
+/// ignored: every request is answered in arrival order on its connection);
 /// `client` is an optional stable identity used for per-client admission
 /// control — absent, the connection itself is the identity.
 ///
@@ -55,7 +48,6 @@ struct ServeRequest {
   int64_t node = -1;
   std::string model;
   int64_t deadline_ms = -1;  // -1 = no deadline
-  QosClass qos = QosClass::kInteractive;
   std::string client;        // admission identity; empty = per-connection
   bool is_mutation = false;  // "op" present; `mutation` is the payload
   Mutation mutation;
@@ -80,8 +72,8 @@ std::string FormatServeError(const std::string& id, const std::string& error);
 /// can back off programmatically instead of string-matching error prose:
 ///   {"id":"r1","error":"rate limited","reason":"rate_limited",
 ///    "retry_after_ms":12}
-/// Reasons in use: rate_limited, overloaded, inflight_limit, max_conns,
-/// idle_timeout, fault_injected, artifact_v1_immutable.
+/// Reasons in use: rate_limited, max_conns, idle_timeout, fault_injected,
+/// artifact_v1_immutable.
 std::string FormatServeReject(const std::string& id, const std::string& error,
                               const std::string& reason,
                               int64_t retry_after_ms);
@@ -108,18 +100,6 @@ struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 binds an ephemeral port (see
   /// InferenceServer::port()). Used only when unix_path is empty.
   int tcp_port = 0;
-  /// Most requests one batcher pass dispatches. The batcher blocks until a
-  /// request is queued, then drains up to this many at once — everything
-  /// that arrived while the previous batch ran — so batches fill under load
-  /// and a lone request never waits for company.
-  int64_t max_batch = 16;
-  /// Bounded total queue depth across all per-model queues. An arrival
-  /// beyond this evicts a queued request — batch-class entries first, and
-  /// within a class from the connection with the most queued requests (the
-  /// incoming request itself when nothing less important is queued) — with
-  /// a structured "overloaded" rejection, instead of tail-dropping the
-  /// newest arrival regardless of who is flooding.
-  int64_t max_queue = 1024;
   /// A connection streaming more than this many bytes without a newline is
   /// answered with a malformed-request error and dropped (bounds the
   /// per-connection read buffer).
@@ -137,17 +117,14 @@ struct ServerOptions {
   /// answered with an immediate structured max_conns refusal and closed.
   /// 0 = unlimited.
   int64_t max_conns = 0;
-  /// Per-connection in-flight cap: a connection with this many requests
-  /// queued has further requests rejected (inflight_limit) instead of
-  /// queued. 0 = unlimited (the global overload policy still applies).
-  int64_t max_inflight_per_conn = 0;
   /// Called from the accept loop every poll interval (<= ~100ms) when set.
   /// The CLI uses it to run SIGHUP artifact reloads on the serve thread.
   std::function<void()> poll_hook;
-  /// Chaos hook: invoked from the batcher thread mid-batch when the
-  /// `serve_mid_batch_reload` fault site fires, simulating a hot reload
-  /// racing in-flight work. The CLI points it at its SIGHUP reload path;
-  /// tests point it at ModelRegistry::Reload directly.
+  /// Chaos hook: invoked on a reader thread between pinning a request's
+  /// session and answering it when the `serve_mid_request_reload` fault
+  /// site fires, simulating a hot reload racing in-flight work. The CLI
+  /// points it at its SIGHUP reload path; tests point it at
+  /// ModelRegistry::Reload directly, or park in it to hold a request.
   std::function<void()> chaos_reload_hook;
   /// Clock used for admission-control decisions, microseconds, monotonic.
   /// Defaults to the steady clock; tests inject literal time sequences to
@@ -155,30 +132,29 @@ struct ServerOptions {
   std::function<int64_t()> clock;
 };
 
-/// Batched request/response front-end over a ModelRegistry (DESIGN.md §10).
-/// One reader thread per connection parses request lines, resolves the
-/// "model" key to a session (pinning it: a hot reload swaps the registry
-/// entry, queued requests finish against the session they resolved), and
-/// enqueues into that model's queue for the request's QoS class. A single
-/// batcher thread blocks until a request is queued, then assembles a batch
-/// of up to max_batch by draining the per-model queues round-robin —
-/// interactive entries across all models first, batch entries only into
-/// the remaining slots, so one hot model cannot starve the others and batch
-/// traffic cannot starve interactive traffic. It drops entries whose
-/// deadline expired with a distinct error, answers the rest from each
-/// session's logits cache, and writes responses back on the owning
-/// connection.
+/// Request/response front-end over a ModelRegistry (DESIGN.md §10). One
+/// reader thread per connection does the whole job for that connection's
+/// lines, one after another: parse, admit, resolve the "model" key to a
+/// session (pinning it: a hot reload swaps the registry entry, a request
+/// already resolved finishes against the session it pinned), check the
+/// deadline, answer from the session's logits cache (or apply the
+/// mutation), and write the response. A connection therefore has at most
+/// one request in flight, and backpressure is the socket buffer: a client
+/// that stops reading stalls only its own reader. Mutations and reads of a
+/// model with a mutation overlay serialize on that overlay's lock, so a
+/// flush blocks readers of that model only.
 ///
 /// Connection lifecycle: a reader that observes client disconnect (or idle
 /// timeout) shuts the socket down, prunes the connection from the server's
-/// list, and hands its thread to the accept loop for reaping; the fd itself
-/// closes when the last reference (queued request or in-progress write)
-/// releases the Connection. Long-running servers hold fds and threads only
-/// for live connections.
+/// list, and hands its thread to the accept loop for reaping. Long-running
+/// servers hold fds and threads only for live connections.
 ///
 /// Shutdown is cooperative: Serve() returns once ShutdownRequested()
-/// (util/shutdown.h) or Stop() is observed; in-flight requests are drained,
-/// responses flushed, and every thread joined before Serve() returns.
+/// (util/shutdown.h) or Stop() is observed. Readers stop reading and
+/// finish the lines they already received; a reader still running after a
+/// fixed grace period (e.g. blocked writing to a peer that never reads) has
+/// its socket shut down in both directions so its write fails, and every
+/// thread is joined before Serve() returns.
 ///
 /// Events are counted in the process-wide telemetry registry as
 /// `serve.<event>` counters (DESIGN.md §8), bumped where they happen; every
@@ -191,8 +167,8 @@ class InferenceServer {
   InferenceServer(const InferenceServer&) = delete;
   InferenceServer& operator=(const InferenceServer&) = delete;
 
-  /// Binds and listens (unix or TCP per the options) and starts the batcher
-  /// thread. IO failures (path in use, permission) are Status errors.
+  /// Binds and listens (unix or TCP per the options). IO failures (path in
+  /// use, permission) are Status errors.
   Status Start();
 
   /// Accepts and serves connections until shutdown is requested. Call after
@@ -211,47 +187,27 @@ class InferenceServer {
   struct Connection {
     ~Connection();
     int fd = -1;
-    std::mutex write_mu;
-    int64_t queued = 0;  // requests of this connection in queue; under mu_
     std::string identity;  // fallback admission identity ("conn:<id>")
-  };
-  struct Pending {
-    std::shared_ptr<Connection> conn;
-    ServeRequest request;
-    std::shared_ptr<InferenceSession> session;  // pinned at enqueue
-    /// Pinned alongside the session when the registry hosts a mutation
-    /// overlay; mutations and (for consistency) predictions of that model
-    /// dispatch through it.
-    std::shared_ptr<MutableSession> mutable_session;
-    int64_t enqueued_us = 0;   // monotonic clock, for latency telemetry
-    int64_t deadline_us = -1;  // absolute expiry; -1 = none
-  };
-  /// Per-model queue pair; only models with at least one queued entry stay
-  /// in the map, so round-robin iteration touches live models only.
-  struct ModelQueues {
-    std::deque<Pending> interactive;
-    std::deque<Pending> batch;
-    bool empty() const { return interactive.empty() && batch.empty(); }
   };
 
   void ReaderLoop(uint64_t reader_id, std::shared_ptr<Connection> conn);
-  /// Parses, admits, and enqueues the complete lines in `*pending` (called
-  /// by ReaderLoop as bytes arrive). Returns false when the connection must
-  /// be dropped (overlong line).
-  bool IngestLines(const std::shared_ptr<Connection>& conn,
-                   std::string* pending);
-  void BatcherLoop();
-  /// Serializes one line onto the connection (per-connection write mutex),
-  /// retrying via SendAll. Counts a genuine failure in write_errors.
-  bool WriteLine(const std::shared_ptr<Connection>& conn,
-                 const std::string& line);
+  /// Answers the complete lines in `*pending`, in order (called by
+  /// ReaderLoop as bytes arrive; `arrival_us` is when the bytes that
+  /// completed them were received). Returns false when the connection must
+  /// be dropped (overlong line, or a write failed).
+  bool IngestLines(const Connection& conn, std::string* pending,
+                   int64_t arrival_us);
+  /// Parses, admits and answers one request line: the whole job, on the
+  /// calling reader thread. Returns false when the response could not be
+  /// written.
+  bool Answer(const Connection& conn, const std::string& line,
+              int64_t arrival_us);
+  /// Writes one line through SendAll. Counts a genuine failure in
+  /// write_errors.
+  bool WriteLine(const Connection& conn, const std::string& line);
   /// Joins reader threads whose loops have exited (accept thread only).
   void ReapFinishedReaders();
   bool Stopping() const;
-  /// retry_after_ms for load-shedding rejections: the time to drain the
-  /// batches queued ahead at the last batch's service time, in whole
-  /// milliseconds, at least 1. Caller holds mu_.
-  int64_t RetryAfterMsLocked() const;
   int64_t ClockNow() const;
 
   ModelRegistry* registry_;
@@ -261,22 +217,11 @@ class InferenceServer {
   int port_ = -1;
   std::atomic<bool> stop_{false};
 
-  mutable std::mutex mu_;
-  std::condition_variable queue_cv_;
-  /// Per-model QoS queue pairs, keyed by resolved model name.
-  std::map<std::string, ModelQueues> queues_;
-  int64_t queued_total_ = 0;
-  int64_t queued_interactive_ = 0;
-  int64_t last_batch_us_ = 0;  // the last batch's dispatch time
-  /// Per-class round-robin cursors (last model a batch slot was taken
-  /// from) — one per class so heavy batch traffic on one model does not
-  /// perturb interactive fairness across models.
-  std::string rr_interactive_;
-  std::string rr_batch_;
+  std::mutex mu_;
+  std::condition_variable reader_exited_;  // a reader left connections_
   std::vector<uint64_t> finished_readers_;  // ids awaiting join; under mu_
   std::vector<std::shared_ptr<Connection>> connections_;  // live; under mu_
 
-  std::thread batcher_;
   /// Reader threads by id; accessed only from the accept thread and the
   /// destructor (readers announce exit via finished_readers_).
   std::map<uint64_t, std::thread> readers_;

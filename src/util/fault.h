@@ -38,11 +38,12 @@
 //   train_epoch   — top of each (re)training epoch
 //   atomic_write  — mid-payload inside io::WriteFileAtomic, before rename
 // Registered soft sites (see DESIGN.md §13):
-//   serve_partial_write    — SendAll truncates one send() to a single byte
-//   serve_torn_read        — reader withholds the tail of one recv()
-//   serve_delayed_accept   — accept loop stalls before handling a client
-//   serve_mid_batch_reload — batcher runs the reload hook mid-batch
-//   serve_mutation_apply   — a validated mutation fails to apply
+//   serve_partial_write      — SendAll truncates one send() to a single byte
+//   serve_torn_read          — reader withholds the tail of one recv()
+//   serve_delayed_accept     — accept loop stalls before handling a client
+//   serve_mid_request_reload — a reader runs the reload hook between
+//                              pinning a request's session and answering
+//   serve_mutation_apply     — a validated mutation fails to apply
 
 namespace autoac {
 

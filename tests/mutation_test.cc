@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -626,6 +627,54 @@ TEST(MutationFuzzTest, RandomDeltaStreamsMatchFullRecompute) {
                 /*num_deltas=*/6);
     if (HasFatalFailure()) return;
   }
+}
+
+// --- sharing one session across threads -------------------------------------
+
+// The session's lock makes it safe to share, as the server does: one thread
+// applies a fixed delta sequence while two threads read through the same
+// session, and the final logits equal the re-export's at 1 and 4 threads.
+TEST(MutationConcurrencyTest, ReadsRacingAppliesEndAtTheReExportDigest) {
+  const std::vector<Mutation> deltas = {
+      EdgeMutation(Mutation::Kind::kAddEdge, "it", 3, 10),
+      AddNodeMutation("tag"),
+      EdgeMutation(Mutation::Kind::kAddEdge, "it", 5, 40),
+      AddNodeMutation("item", {0.5f, -0.25f, 0.125f, 2.f}),
+      EdgeMutation(Mutation::Kind::kAddEdge, "it", 40, 12),
+      EdgeMutation(Mutation::Kind::kRemoveEdge, "it", 3, 10),
+      EdgeMutation(Mutation::Kind::kAddEdge, "rel", 0, 3),
+      EdgeMutation(Mutation::Kind::kRemoveEdge, "rel", 3, 0),
+  };
+  for (int threads : {1, 4}) {
+    SetNumThreads(threads);
+    // A 1 ms staleness bound: Apply returns without flushing, and a
+    // reader that reaches a dirty row races the writer to flush it.
+    Harness h("SimpleHGN", RingGraph(), MixedOps, /*staleness_ms=*/1);
+    std::atomic<int> reading{0};
+    std::atomic<bool> done{false};
+    auto read = [&](int64_t stride) {
+      for (int64_t node = 0; !done.load(); node = (node + stride) % 40) {
+        StatusOr<InferenceSession::Prediction> p = h.session->Predict(node);
+        EXPECT_TRUE(p.ok()) << p.status().message();
+        if (node == 0) ++reading;
+      }
+    };
+    std::thread reader1(read, 1);
+    std::thread reader2(read, 7);
+    while (reading.load() < 2) std::this_thread::yield();
+    for (const Mutation& m : deltas) {
+      StatusOr<MutationResult> applied = h.session->Apply(m);
+      EXPECT_TRUE(applied.ok()) << applied.status().message();
+      ApplyToReplica(*h.replica, m);
+    }
+    done = true;
+    reader1.join();
+    reader2.join();
+    EXPECT_EQ(h.session->LogitsDigest(),
+              DigestTensor(kFnvOffsetBasis, ReferenceLogits(h.fz, *h.replica)))
+        << threads << " threads";
+  }
+  SetNumThreads(0);
 }
 
 // --- refreeze self-consistency ------------------------------------------------

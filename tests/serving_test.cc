@@ -1,7 +1,7 @@
 // Tests for the frozen-model export + inference serving subsystem
 // (src/serving/, DESIGN.md §10): artifact round trips, corruption and
 // fingerprint refusal, tape-free forward identity, thread-count
-// invariance, the batched request/response front-end, multi-model routing
+// invariance, the request/response front-end, multi-model routing
 // through ModelRegistry, hot artifact reload, deadline expiry, and the
 // connection-lifecycle hardening (fd reaping, bounded read buffers,
 // interrupted-write retries).
@@ -11,6 +11,7 @@
 #include <pthread.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -150,8 +151,7 @@ std::string StripLatency(const std::string& line) {
   return line.substr(0, pos) + line.substr(end);
 }
 
-/// Maps response lines by their echoed id (responses may interleave across
-/// models within a batch).
+/// Maps response lines by their echoed id.
 std::map<std::string, std::string> ById(
     const std::vector<std::string>& lines) {
   std::map<std::string, std::string> by_id;
@@ -161,15 +161,6 @@ std::map<std::string, std::string> ById(
     by_id[line.substr(start, end - start)] = StripLatency(line);
   }
   return by_id;
-}
-
-/// The retry_after_ms hint of a rejection line, or -1 when it has none.
-int64_t RetryAfterMs(const std::string& line) {
-  const std::string key = "\"retry_after_ms\":";
-  size_t pos = line.find(key);
-  return pos == std::string::npos
-             ? -1
-             : std::strtoll(line.c_str() + pos + key.size(), nullptr, 10);
 }
 
 /// The exact response line `session` would produce for (id, node), latency
@@ -746,6 +737,9 @@ TEST(ServeProtocolTest, RejectsMalformedRequests) {
       R"({"node": 1} trailing)",       // trailing characters
       R"({"id": "unterminated)",       // unterminated string
       R"({"node": 1,})",               // dangling comma
+      R"({"node": +5})",               // JSON integers carry no '+'
+      R"({"node": 1, "id": 007})",     // nor leading zeros
+      R"({"node": -})",                // a sign alone is no integer
   };
   for (const char* line : bad) {
     EXPECT_FALSE(ParseServeRequestLine(line, &request, &error))
@@ -906,7 +900,6 @@ TEST(InferenceServerTest, EndToEndOverLoopbackTcp) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;  // ephemeral
-  options.max_batch = 4;
   InferenceServer server(&registry, options);
   Status started = server.Start();
   ASSERT_TRUE(started.ok()) << started.message();
@@ -932,8 +925,7 @@ TEST(InferenceServerTest, EndToEndOverLoopbackTcp) {
   ASSERT_EQ(::send(fd, out.data(), out.size(), 0),
             static_cast<ssize_t>(out.size()));
 
-  // Four response lines come back; the reader answers malformed lines
-  // directly while the batcher answers the rest, so order is not fixed.
+  // Four response lines come back, one per request line.
   std::string received;
   size_t newlines = 0;
   char buf[4096];
@@ -964,8 +956,6 @@ TEST(InferenceServerTest, EndToEndOverLoopbackTcp) {
   EXPECT_EQ(counts("serve.requests"), 3);
   EXPECT_EQ(counts("serve.responses"), 2);  // successful predictions only
   EXPECT_EQ(counts("serve.malformed"), 1);
-  EXPECT_EQ(counts("serve.shed"), 0);
-  EXPECT_EQ(counts("serve.batched_requests"), 3);
 }
 
 // Serve() also honors the process-wide cooperative shutdown flag.
@@ -995,9 +985,7 @@ TEST(ModelRegistryTest, LookupResolvesDefaultAndUnknown) {
 
   EXPECT_EQ(registry.size(), 2);
   EXPECT_EQ(registry.default_model(), "alpha");  // first registered
-  std::string resolved;
-  EXPECT_EQ(registry.Lookup("", &resolved), session);
-  EXPECT_EQ(resolved, "alpha");
+  EXPECT_EQ(registry.Lookup(""), session);
   EXPECT_EQ(registry.Lookup("alpha"), session);
   EXPECT_EQ(registry.Lookup("nope"), nullptr);
   // A Register()-only registry has no artifact spec to re-read.
@@ -1071,7 +1059,6 @@ TEST(ModelRegistryTest, TwoModelRoutingMatchesSingleModelServers) {
 
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
 
   ModelRegistry single_a, single_b, multi;
   single_a.Register("a", std::make_shared<InferenceSession>(frozen_a));
@@ -1159,7 +1146,6 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
 
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1231,69 +1217,67 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
   serving.join();
   EXPECT_EQ(counts("serve.requests"), kBefore + kBurst + 1);
   EXPECT_EQ(counts("serve.responses"), kBefore + kBurst + 1);
-  EXPECT_EQ(counts("serve.shed"), 0);
   EXPECT_EQ(counts("serve.deadline_expired"), 0);
   std::remove(path.c_str());
 }
 
-// --- deadline- and fairness-aware batching ----------------------------------
+// --- deadlines and stuck peers ----------------------------------------------
 
-/// Blocks the batcher deterministically: arms serve_mid_batch_reload:0 and
-/// installs a chaos hook that signals entry then parks until released. A
-/// priming request makes the batcher assemble one batch and stall inside
-/// the hook (outside the queue lock), so the test can stage queue contents
-/// without racing the drain. Always disarm with SetFaultSpecForTest("").
-struct BatcherGate {
+/// Holds a request on its reader deterministically: arms
+/// serve_mid_request_reload:0 and installs a chaos hook that signals entry,
+/// then parks until released. The first request the server pins stops
+/// inside the hook, between pinning its session and answering it. Always
+/// disarm with SetFaultSpecForTest("").
+struct ReaderGate {
   std::promise<void> entered;
   std::promise<void> release;
-  std::shared_future<void> release_future{release.get_future().share()};
-  std::atomic<bool> signaled{false};
 
   std::function<void()> Hook() {
     return [this] {
-      if (!signaled.exchange(true)) entered.set_value();
-      release_future.wait();
+      entered.set_value();
+      release.get_future().wait();
     };
   }
 };
 
-// A request whose deadline expires while queued gets the distinct
-// "deadline exceeded" error and never reaches Predict.
+// A request whose deadline has passed when its turn comes gets the distinct
+// "deadline exceeded" error and never reaches Predict; generous deadlines,
+// including one past the clock's range, are answered.
 TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
   CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
-  BatcherGate gate;
+  ReaderGate gate;
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 64;
   options.chaos_reload_hook = gate.Hook();
-  SetFaultSpecForTest("serve_mid_batch_reload:0");
+  SetFaultSpecForTest("serve_mid_request_reload:0");
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
   int fd = ConnectLoopback(server.port());
   ASSERT_GE(fd, 0);
 
-  // The priming request parks the batcher, so the next two sit queued.
-  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(fd, prime.data(), prime.size()));
+  // deadline_ms 0 expires as soon as the clock moves past the arrival. The
+  // gate holds "late" on its reader, after its arrival, until the clock has
+  // moved on; its deadline has provably passed when the reader checks it.
+  std::string late = "{\"id\": \"late\", \"node\": 0, \"deadline_ms\": 0}\n";
+  ASSERT_TRUE(SendAll(fd, late.data(), late.size()));
   gate.entered.get_future().wait();
-
-  // deadline_ms 0 expires the moment any queue wait happens; a generous
-  // deadline on the same connection must be unaffected.
-  std::string out =
-      "{\"id\": \"late\", \"node\": 0, \"deadline_ms\": 0}\n"
-      "{\"id\": \"fine\", \"node\": 1, \"deadline_ms\": 60000}\n";
-  ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
-  for (int waited = 0; waited < 200 && counts("serve.requests") < 3;
-       ++waited) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const auto entered = std::chrono::steady_clock::now();
+  while (std::chrono::steady_clock::now() - entered <
+         std::chrono::milliseconds(1)) {
   }
-  ASSERT_EQ(counts("serve.requests"), 3);
   gate.release.set_value();
+
+  // Generous deadlines on the same connection are unaffected; the largest
+  // one a request can carry lies past the clock's range and means none.
+  std::string out =
+      "{\"id\": \"fine\", \"node\": 1, \"deadline_ms\": 60000}\n"
+      "{\"id\": \"max\", \"node\": 1, \"deadline_ms\": 9223372036854775807}\n";
+  ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
   auto by_id = ById(RecvLines(fd, 3));
   ::close(fd);
   SetFaultSpecForTest("");
@@ -1303,98 +1287,95 @@ TEST(InferenceServerTest, ExpiredDeadlinesGetDistinctErrorBeforePredict) {
       << by_id["late"];
   EXPECT_NE(by_id["fine"].find("\"label\":"), std::string::npos)
       << by_id["fine"];
+  EXPECT_NE(by_id["max"].find("\"label\":"), std::string::npos)
+      << by_id["max"];
 
   server.Stop();
   serving.join();
   EXPECT_EQ(counts("serve.requests"), 3);
   EXPECT_EQ(counts("serve.deadline_expired"), 1);
-  // The expired request was never part of an inference batch.
-  EXPECT_EQ(counts("serve.batched_requests"), 2);
   EXPECT_EQ(counts("serve.responses"), 2);
 }
 
-// Overload eviction: when the queue is full, the newest request of the
-// connection with the most queued requests is evicted — not the incoming
-// arrival regardless of source (pre-PR tail-drop would punish the
-// well-behaved second connection for the first one's flood).
-TEST(InferenceServerTest, OverloadEvictsFromMostLoadedConnection) {
+// A client that pipelines requests and never reads its responses fills its
+// socket buffer and stalls its own reader only: another client is still
+// answered promptly, and Stop() still returns, cutting the stuck socket
+// after the drain grace period.
+TEST(InferenceServerTest, StuckPeerStallsOnlyItselfAndStopStillReturns) {
   CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
   registry.Register("default",
                     std::make_shared<InferenceSession>(env.frozen()));
-  BatcherGate gate;
   ServerOptions options;
-  options.tcp_port = 0;
-  options.max_batch = 64;
-  options.max_queue = 4;
-  options.chaos_reload_hook = gate.Hook();
-  SetFaultSpecForTest("serve_mid_batch_reload:0");
+  options.unix_path = TempPath("stuck_peer.sock");
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
-  std::thread serving([&] { server.Serve(); });
-  int prime_fd = ConnectLoopback(server.port());
-  int flood_fd = ConnectLoopback(server.port());
-  int victim_fd = ConnectLoopback(server.port());
-  ASSERT_GE(prime_fd, 0);
-  ASSERT_GE(flood_fd, 0);
-  ASSERT_GE(victim_fd, 0);
+  std::promise<void> returned;
+  std::future<void> served = returned.get_future();
+  std::thread serving([&] {
+    server.Serve();
+    returned.set_value();
+  });
+  auto connect = [&] {
+    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    timeval timeout{20, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_un addr{};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, options.unix_path.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    return fd;
+  };
 
-  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(prime_fd, prime.data(), prime.size()));
-  gate.entered.get_future().wait();  // batcher parked mid-batch
-
-  // The flooding connection fills the whole queue...
+  // Client A: ~1 MiB of pipelined requests from a helper thread, never a
+  // read. Its responses fill the socket buffer, so its reader blocks
+  // writing and stops reading; the helper blocks sending until the server
+  // cuts the socket.
+  int stuck_fd = connect();
   std::string flood;
-  for (int i = 0; i < 4; ++i) {
-    flood += "{\"id\": \"f" + std::to_string(i) + "\", \"node\": 0}\n";
+  for (int i = 0; flood.size() < (1u << 20); ++i) {
+    flood += "{\"id\": \"a" + std::to_string(i) + "\", \"node\": 0}\n";
   }
-  ASSERT_TRUE(SendAll(flood_fd, flood.data(), flood.size()));
-  for (int waited = 0; waited < 200 && counts("serve.requests") < 5;
-       ++waited) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::thread pipeliner(
+      [&] { (void)SendAll(stuck_fd, flood.data(), flood.size()); });
+  // A's reader is stuck once the server stops taking A's requests.
+  int64_t taken = -1;
+  for (int i = 0; i < 200 && counts("serve.requests") != taken; ++i) {
+    taken = counts("serve.requests");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  ASSERT_EQ(counts("serve.requests"), 5);  // prime + f0..f3
+  EXPECT_GT(taken, 0);
 
-  // ...and the late arrival from a quiet connection still gets served,
-  // displacing the flooder's newest request.
-  std::string polite = "{\"id\": \"v\", \"node\": 1}\n";
-  ASSERT_TRUE(SendAll(victim_fd, polite.data(), polite.size()));
-  // The eviction is written by the reader while the batcher is parked.
-  std::vector<std::string> flood_lines = RecvLines(flood_fd, 1);
-  gate.release.set_value();
-
-  for (std::string& line : RecvLines(flood_fd, 3)) {
-    flood_lines.push_back(std::move(line));
+  // Client B is answered at once.
+  int fd = connect();
+  std::string line = "{\"id\": \"b\", \"node\": 1}\n";
+  const auto sent = std::chrono::steady_clock::now();
+  EXPECT_TRUE(SendAll(fd, line.data(), line.size()));
+  std::vector<std::string> answer = RecvLines(fd, 1);
+  const auto waited = std::chrono::steady_clock::now() - sent;
+  ::close(fd);
+  EXPECT_EQ(answer.size(), 1u) << "a stuck peer stalled another client";
+  if (!answer.empty()) {
+    EXPECT_NE(answer[0].find("\"label\":"), std::string::npos) << answer[0];
   }
-  auto flood_responses = ById(flood_lines);
-  auto polite_responses = ById(RecvLines(victim_fd, 1));
-  ASSERT_EQ(RecvLines(prime_fd, 1).size(), 1u);
-  SetFaultSpecForTest("");
-  ASSERT_EQ(flood_responses.size(), 4u);
-  ASSERT_EQ(polite_responses.size(), 1u);
-  EXPECT_NE(polite_responses["v"].find("\"label\":"), std::string::npos)
-      << polite_responses["v"];
-  EXPECT_NE(flood_responses["f3"].find("\"error\":\"overloaded\""),
-            std::string::npos)
-      << flood_responses["f3"];
-  for (int i = 0; i < 3; ++i) {
-    std::string id = "f" + std::to_string(i);
-    EXPECT_NE(flood_responses[id].find("\"label\":"), std::string::npos)
-        << flood_responses[id];
-  }
+  EXPECT_LT(waited, std::chrono::seconds(2));
 
-  ::close(prime_fd);
-  ::close(flood_fd);
-  ::close(victim_fd);
   server.Stop();
+  bool stopped =
+      served.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  EXPECT_TRUE(stopped) << "Serve() still running 5 s after Stop()";
+  if (!stopped) ::shutdown(stuck_fd, SHUT_RDWR);  // unstick it to finish
   serving.join();
-  EXPECT_EQ(counts("serve.shed"), 1);
-  EXPECT_EQ(counts("serve.responses"), 5);  // prime + f0..f2 + v
+  pipeliner.join();
+  ::close(stuck_fd);
+  EXPECT_GE(counts("serve.write_errors"), 1);
 }
 
-// Stop() must wake a batcher blocked in its untimed wait: an idle server
-// started and stopped 50 times shuts down promptly every time.
+// An idle server started and stopped 50 times shuts down promptly every
+// time.
 TEST(InferenceServerTest, IdleStartStopReturnsPromptly) {
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
@@ -1416,7 +1397,6 @@ TEST(InferenceServerTest, IdleStartStopReturnsPromptly) {
         std::future_status::ready) {
       ADD_FAILURE() << "Serve() still running 1 s after Stop(), round "
                     << round;
-      server.Stop();  // a second notify reaches a batcher already waiting
     }
     serving.join();
   }
@@ -1435,7 +1415,6 @@ TEST(InferenceServerTest, FdCountStableAcrossConnectionChurn) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1721,7 +1700,6 @@ TEST(InferenceServerTest, MutationsOverSocketMatchFromScratchRefreeze) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1801,7 +1779,6 @@ TEST(InferenceServerTest, MalformedMutationsGetDistinctErrors) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -1914,9 +1891,9 @@ TEST(InferenceServerTest, V1ArtifactMutationRejectIsMachineReadable) {
   EXPECT_EQ(counts("serve.mutations_applied"), 0);
 }
 
-// A burst of predictions pinned to the same session drains in batches, and
+// A burst of requests pipelined on one connection is answered in full, and
 // every answer is bitwise what the in-process session produces.
-TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
+TEST(InferenceServerTest, PipelinedRequestsOnOneConnectionAllAnswered) {
   CounterDeltas counts;
   const ServingEnvironment& env = ServingEnvironment::Get();
   ModelRegistry registry;
@@ -1924,7 +1901,6 @@ TEST(InferenceServerTest, PredictionRunsGroupThroughTheBatchHead) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 16;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
@@ -2006,8 +1982,7 @@ TEST(ModelRegistryTest, MutationOverlayAcrossReloads) {
 // ---------------------------------------------------------------------------
 // Serving hardening (DESIGN.md §13): request grammar for QoS and client
 // identity, structured rejections, token-bucket admission control,
-// interactive-over-batch scheduling and eviction, connection hygiene, and
-// chaos fault containment.
+// connection hygiene, and chaos fault containment.
 // ---------------------------------------------------------------------------
 
 TEST(ServeProtocolTest, ParsesQosAndClientKeys) {
@@ -2018,21 +1993,15 @@ TEST(ServeProtocolTest, ParsesQosAndClientKeys) {
       "\"client\": \"alice\"}",
       &request, &error))
       << error;
-  EXPECT_EQ(request.qos, QosClass::kBatch);
   EXPECT_EQ(request.client, "alice");
 
+  // "qos" stays accepted, so older clients keep working; it has no effect.
   ASSERT_TRUE(ParseServeRequestLine(
       "{\"id\": \"q2\", \"node\": 3, \"qos\": \"interactive\"}", &request,
       &error))
       << error;
-  EXPECT_EQ(request.qos, QosClass::kInteractive);
+  EXPECT_EQ(request.node, 3);
   EXPECT_TRUE(request.client.empty());
-
-  // Default class is interactive.
-  ASSERT_TRUE(
-      ParseServeRequestLine("{\"id\": \"q3\", \"node\": 3}", &request, &error))
-      << error;
-  EXPECT_EQ(request.qos, QosClass::kInteractive);
 }
 
 TEST(ServeProtocolTest, RejectsUnknownQosValue) {
@@ -2143,7 +2112,6 @@ TEST(InferenceServerTest, RateLimitingOverSocketIsDeterministic) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
   options.rate_limit_rps = 1.0;
   options.rate_limit_burst = 2.0;
   options.clock = [] { return int64_t{0}; };  // frozen time: zero refill
@@ -2201,7 +2169,6 @@ TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
   options.rate_limit_rps = 1.0;
   options.rate_limit_burst = 1.0;
   options.clock = [] { return int64_t{0}; };
@@ -2239,275 +2206,6 @@ TEST(InferenceServerTest, ClientKeySharesQuotaAcrossConnections) {
   server.Stop();
   serving.join();
   EXPECT_EQ(counts("serve.rate_limited"), 1);
-}
-
-// Under saturation, queued interactive requests drain before queued batch
-// requests even when the batch requests arrived first.
-TEST(InferenceServerTest, InteractiveDrainsBeforeBatchUnderSaturation) {
-  CounterDeltas counts;
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  ModelRegistry registry;
-  registry.Register("default",
-                    std::make_shared<InferenceSession>(env.frozen()));
-  BatcherGate gate;
-  ServerOptions options;
-  options.tcp_port = 0;
-  options.max_batch = 2;
-  options.chaos_reload_hook = gate.Hook();
-  SetFaultSpecForTest("serve_mid_batch_reload:0");
-  InferenceServer server(&registry, options);
-  ASSERT_TRUE(server.Start().ok());
-  std::thread serving([&] { server.Serve(); });
-
-  int prime_fd = ConnectLoopback(server.port());
-  ASSERT_GE(prime_fd, 0);
-  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(prime_fd, prime.data(), prime.size()));
-  gate.entered.get_future().wait();  // batcher parked mid-batch
-
-  // Stage batch-class work ahead of interactive work in arrival order.
-  int fd = ConnectLoopback(server.port());
-  ASSERT_GE(fd, 0);
-  std::string out;
-  for (int i = 0; i < 4; ++i) {
-    out += "{\"id\": \"b" + std::to_string(i) +
-           "\", \"node\": " + std::to_string(i) +
-           ", \"qos\": \"batch\"}\n";
-  }
-  for (int i = 0; i < 2; ++i) {
-    out += "{\"id\": \"i" + std::to_string(i) +
-           "\", \"node\": " + std::to_string(4 + i) +
-           ", \"qos\": \"interactive\"}\n";
-  }
-  ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
-  // All six must be queued before the batcher resumes, or the early batch
-  // arrivals would drain into the first batch unopposed.
-  for (int waited = 0; waited < 200 && counts("serve.requests") < 7;
-       ++waited) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(counts("serve.requests"), 7);  // prime + 6 staged
-  gate.release.set_value();
-
-  std::vector<std::string> lines = RecvLines(fd, 6);
-  ASSERT_EQ(RecvLines(prime_fd, 1).size(), 1u);
-  ::close(fd);
-  ::close(prime_fd);
-  SetFaultSpecForTest("");
-  ASSERT_EQ(lines.size(), 6u);
-  // Response write order follows batch assembly order: the two interactive
-  // requests fill the first post-release batch despite arriving last.
-  auto position = [&](const std::string& id) {
-    for (size_t i = 0; i < lines.size(); ++i) {
-      if (lines[i].find("\"id\":\"" + id + "\"") != std::string::npos) {
-        return static_cast<int>(i);
-      }
-    }
-    return -1;
-  };
-  for (const char* interactive : {"i0", "i1"}) {
-    for (const char* batch : {"b0", "b1", "b2", "b3"}) {
-      EXPECT_LT(position(interactive), position(batch))
-          << interactive << " drained after " << batch;
-    }
-  }
-  for (const std::string& line : lines) {
-    EXPECT_NE(line.find("\"label\":"), std::string::npos) << line;
-  }
-
-  server.Stop();
-  serving.join();
-}
-
-// Overload policy: batch-class entries absorb eviction first (an
-// interactive arrival evicts the newest queued batch request), and an
-// incoming batch request sheds itself rather than displacing anything
-// more important.
-TEST(InferenceServerTest, BatchAbsorbsEvictionBeforeInteractive) {
-  CounterDeltas counts;
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  ModelRegistry registry;
-  registry.Register("default",
-                    std::make_shared<InferenceSession>(env.frozen()));
-  BatcherGate gate;
-  ServerOptions options;
-  options.tcp_port = 0;
-  options.max_batch = 8;
-  options.max_queue = 3;
-  options.chaos_reload_hook = gate.Hook();
-  SetFaultSpecForTest("serve_mid_batch_reload:0");
-  InferenceServer server(&registry, options);
-  ASSERT_TRUE(server.Start().ok());
-  std::thread serving([&] { server.Serve(); });
-
-  int prime_fd = ConnectLoopback(server.port());
-  ASSERT_GE(prime_fd, 0);
-  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(prime_fd, prime.data(), prime.size()));
-  gate.entered.get_future().wait();
-
-  // Queue fills to [i0, b0, b1]; then an interactive arrival evicts the
-  // newest batch entry (b1), and a batch arrival sheds itself (b2).
-  int fd = ConnectLoopback(server.port());
-  ASSERT_GE(fd, 0);
-  std::string out =
-      "{\"id\": \"i0\", \"node\": 0, \"qos\": \"interactive\"}\n"
-      "{\"id\": \"b0\", \"node\": 1, \"qos\": \"batch\"}\n"
-      "{\"id\": \"b1\", \"node\": 2, \"qos\": \"batch\"}\n"
-      "{\"id\": \"i1\", \"node\": 3, \"qos\": \"interactive\"}\n"
-      "{\"id\": \"b2\", \"node\": 4, \"qos\": \"batch\"}\n";
-  ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
-  // The two overload rejections are written by the reader while the
-  // batcher is still parked — queue state is fully staged, deterministic.
-  std::vector<std::string> rejects = RecvLines(fd, 2);
-  ASSERT_EQ(rejects.size(), 2u);
-  gate.release.set_value();
-
-  std::vector<std::string> answers = RecvLines(fd, 3);
-  ASSERT_EQ(RecvLines(prime_fd, 1).size(), 1u);
-  ::close(fd);
-  ::close(prime_fd);
-  SetFaultSpecForTest("");
-  ASSERT_EQ(answers.size(), 3u);
-
-  std::map<std::string, std::string> by_id = ById(rejects);
-  for (const char* victim : {"b1", "b2"}) {
-    ASSERT_NE(by_id.find(victim), by_id.end())
-        << victim << " was not the evicted request";
-    EXPECT_NE(by_id[victim].find("\"reason\":\"overloaded\""),
-              std::string::npos)
-        << by_id[victim];
-    // The hint comes from the measured drain rate, never below 1 ms.
-    EXPECT_GE(RetryAfterMs(by_id[victim]), 1) << by_id[victim];
-  }
-  by_id = ById(answers);
-  for (const char* survivor : {"i0", "i1", "b0"}) {
-    ASSERT_NE(by_id.find(survivor), by_id.end()) << survivor << " was lost";
-    EXPECT_NE(by_id[survivor].find("\"label\":"), std::string::npos)
-        << by_id[survivor];
-  }
-
-  server.Stop();
-  serving.join();
-  EXPECT_EQ(counts("serve.shed"), 2);
-  // Shed requests are requests too: every one is answered, shed or expired.
-  EXPECT_EQ(counts("serve.requests"),
-            counts("serve.responses") + counts("serve.shed") +
-                counts("serve.deadline_expired"));
-}
-
-// A full queue of interactive work never yields to an incoming batch
-// request: the batch request itself is shed.
-TEST(InferenceServerTest, IncomingBatchNeverDisplacesQueuedInteractive) {
-  CounterDeltas counts;
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  ModelRegistry registry;
-  registry.Register("default",
-                    std::make_shared<InferenceSession>(env.frozen()));
-  BatcherGate gate;
-  ServerOptions options;
-  options.tcp_port = 0;
-  options.max_batch = 8;
-  options.max_queue = 2;
-  options.chaos_reload_hook = gate.Hook();
-  SetFaultSpecForTest("serve_mid_batch_reload:0");
-  InferenceServer server(&registry, options);
-  ASSERT_TRUE(server.Start().ok());
-  std::thread serving([&] { server.Serve(); });
-
-  int prime_fd = ConnectLoopback(server.port());
-  ASSERT_GE(prime_fd, 0);
-  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(prime_fd, prime.data(), prime.size()));
-  gate.entered.get_future().wait();
-
-  int fd = ConnectLoopback(server.port());
-  ASSERT_GE(fd, 0);
-  std::string out =
-      "{\"id\": \"i0\", \"node\": 0}\n"
-      "{\"id\": \"i1\", \"node\": 1}\n"
-      "{\"id\": \"b0\", \"node\": 2, \"qos\": \"batch\"}\n";
-  ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
-  std::vector<std::string> reject = RecvLines(fd, 1);
-  ASSERT_EQ(reject.size(), 1u);
-  EXPECT_NE(reject[0].find("\"id\":\"b0\""), std::string::npos) << reject[0];
-  EXPECT_NE(reject[0].find("\"reason\":\"overloaded\""), std::string::npos)
-      << reject[0];
-  gate.release.set_value();
-
-  std::vector<std::string> answers = RecvLines(fd, 2);
-  ASSERT_EQ(RecvLines(prime_fd, 1).size(), 1u);
-  ::close(fd);
-  ::close(prime_fd);
-  SetFaultSpecForTest("");
-  ASSERT_EQ(answers.size(), 2u);
-  std::map<std::string, std::string> by_id = ById(answers);
-  EXPECT_NE(by_id["i0"].find("\"label\":"), std::string::npos) << by_id["i0"];
-  EXPECT_NE(by_id["i1"].find("\"label\":"), std::string::npos) << by_id["i1"];
-
-  server.Stop();
-  serving.join();
-  EXPECT_EQ(counts("serve.shed"), 1);
-  EXPECT_EQ(counts("serve.requests"),
-            counts("serve.responses") + counts("serve.shed") +
-                counts("serve.deadline_expired"));
-}
-
-// The per-connection in-flight cap rejects the overflow request on the
-// flooding connection with a structured inflight_limit rejection; the
-// capped requests still complete.
-TEST(InferenceServerTest, InflightCapRejectsPerConnection) {
-  CounterDeltas counts;
-  const ServingEnvironment& env = ServingEnvironment::Get();
-  ModelRegistry registry;
-  registry.Register("default",
-                    std::make_shared<InferenceSession>(env.frozen()));
-  BatcherGate gate;
-  ServerOptions options;
-  options.tcp_port = 0;
-  options.max_batch = 8;
-  options.max_inflight_per_conn = 2;
-  options.chaos_reload_hook = gate.Hook();
-  SetFaultSpecForTest("serve_mid_batch_reload:0");
-  InferenceServer server(&registry, options);
-  ASSERT_TRUE(server.Start().ok());
-  std::thread serving([&] { server.Serve(); });
-
-  int prime_fd = ConnectLoopback(server.port());
-  ASSERT_GE(prime_fd, 0);
-  std::string prime = "{\"id\": \"prime\", \"node\": 0}\n";
-  ASSERT_TRUE(SendAll(prime_fd, prime.data(), prime.size()));
-  gate.entered.get_future().wait();
-
-  int fd = ConnectLoopback(server.port());
-  ASSERT_GE(fd, 0);
-  std::string out =
-      "{\"id\": \"r0\", \"node\": 0}\n"
-      "{\"id\": \"r1\", \"node\": 1}\n"
-      "{\"id\": \"r2\", \"node\": 2}\n";
-  ASSERT_TRUE(SendAll(fd, out.data(), out.size()));
-  std::vector<std::string> reject = RecvLines(fd, 1);
-  ASSERT_EQ(reject.size(), 1u);
-  EXPECT_NE(reject[0].find("\"id\":\"r2\""), std::string::npos) << reject[0];
-  EXPECT_NE(reject[0].find("\"reason\":\"inflight_limit\""),
-            std::string::npos)
-      << reject[0];
-  EXPECT_GE(RetryAfterMs(reject[0]), 1) << reject[0];
-  gate.release.set_value();
-
-  std::vector<std::string> answers = RecvLines(fd, 2);
-  ASSERT_EQ(RecvLines(prime_fd, 1).size(), 1u);
-  ::close(fd);
-  ::close(prime_fd);
-  SetFaultSpecForTest("");
-  ASSERT_EQ(answers.size(), 2u);
-  std::map<std::string, std::string> by_id = ById(answers);
-  EXPECT_NE(by_id["r0"].find("\"label\":"), std::string::npos) << by_id["r0"];
-  EXPECT_NE(by_id["r1"].find("\"label\":"), std::string::npos) << by_id["r1"];
-
-  server.Stop();
-  serving.join();
-  EXPECT_EQ(counts("serve.inflight_rejected"), 1);
 }
 
 // Slow-loris defense: a connection that never sends anything is answered
@@ -2647,7 +2345,6 @@ void RunChaosTraffic(const std::string& spec, int requests,
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
   if (tweak) tweak(&options);
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
@@ -2718,7 +2415,8 @@ TEST(ChaosTest, DelayedAcceptsStillServe) {
 
 TEST(ChaosTest, MidBatchReloadKeepsPinnedSessionsServing) {
   std::atomic<int> reloads{0};
-  RunChaosTraffic("serve_mid_batch_reload:*", 6, [&](ServerOptions* options) {
+  RunChaosTraffic("serve_mid_request_reload:*", 6,
+                  [&](ServerOptions* options) {
     options->chaos_reload_hook = [&reloads] { ++reloads; };
   });
   EXPECT_GT(reloads.load(), 0);
@@ -2736,7 +2434,6 @@ TEST(ChaosTest, MutationApplyFaultIsContained) {
                     std::make_shared<InferenceSession>(env.frozen()));
   ServerOptions options;
   options.tcp_port = 0;
-  options.max_batch = 4;
   InferenceServer server(&registry, options);
   ASSERT_TRUE(server.Start().ok());
   std::thread serving([&] { server.Serve(); });
