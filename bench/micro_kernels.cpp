@@ -19,6 +19,7 @@
 #include "data/hgb_datasets.h"
 #include "graph/sparse_ops.h"
 #include "tensor/init.h"
+#include "tensor/op_helpers.h"
 #include "tensor/ops.h"
 #include "util/parallel.h"
 #include "util/telemetry.h"
@@ -57,6 +58,44 @@ void BM_MatMul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * 64 * 64);
 }
 BENCHMARK(BM_MatMul)->ArgsProduct({{1024, 4096}, {1, 2, 4, 8}});
+
+// The attention-score shape: [3924, 64] by a [64, n] weight with fewer
+// columns than one AVX2 vector (the kernel vectorizes across rows instead).
+void BM_MatMulSkinny(benchmark::State& state) {
+  constexpr int64_t kRows = 3924;
+  int64_t n = state.range(0);
+  ThreadCountScope threads(state.range(1));
+  Rng rng(1);
+  VarPtr a = MakeConst(RandomNormal({kRows, 64}, 1.0f, rng));
+  VarPtr b = MakeConst(RandomNormal({64, n}, 1.0f, rng));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MatMul(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows * 64 * n);
+}
+BENCHMARK(BM_MatMulSkinny)->ArgsProduct({{1, 4}, {1, 2, 4}});
+
+// MatMul's backward kernels on a [rows, 64] x [64, 64] product: the input
+// gradient (GemmNT) and the weight gradient (GemmTN). Items are MACs.
+void BM_MatMulBackward(benchmark::State& state) {
+  int64_t rows = state.range(0);
+  ThreadCountScope threads(state.range(1));
+  Rng rng(1);
+  Tensor a = RandomNormal({rows, 64}, 1.0f, rng);
+  Tensor b = RandomNormal({64, 64}, 1.0f, rng);
+  Tensor grad = RandomNormal({rows, 64}, 1.0f, rng);
+  Tensor grad_a(rows, 64);
+  Tensor grad_b(64, 64);
+  for (auto _ : state) {
+    internal::GemmNT(grad.data(), b.data(), grad_a.data(), rows, 64, 64);
+    internal::GemmTN(a.data(), grad.data(), grad_b.data(), rows, 64, 64);
+    benchmark::DoNotOptimize(grad_a.data());
+    benchmark::DoNotOptimize(grad_b.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * rows * 64 * 64);
+}
+BENCHMARK(BM_MatMulBackward)->ArgsProduct({{1024, 4096}, {1, 2, 4}});
 
 void BM_SpMM(benchmark::State& state) {
   Dataset& dataset = BenchDataset();

@@ -13,7 +13,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "${BUILD_DIR}" -S . -DAUTOAC_TSAN=ON
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
   --target parallel_test parallel_determinism_test sparse_ops_test \
-           tensor_test telemetry_test serving_test mutation_test
+           tensor_test gemm_test telemetry_test serving_test mutation_test
 
 # halt_on_error makes any data-race report fail the run loudly instead of
 # being buried in test output.
@@ -31,6 +31,11 @@ for threads in 2 4 7; do
   # scopes from pool workers must be race-free.
   AUTOAC_NUM_THREADS="${threads}" "${BUILD_DIR}/tests/telemetry_test"
 done
+
+# GEMM tiles write disjoint output rows from every pool worker. The test pins
+# 1 and 4 threads itself, so one pass covers it.
+echo "== TSan pass: gemm_test =="
+"${BUILD_DIR}/tests/gemm_test"
 
 # Serving: reader threads answer their own requests and share the
 # connection list, the registry, each model's mutation overlay (behind its

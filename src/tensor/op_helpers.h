@@ -41,8 +41,9 @@ inline VarPtr MakeOp(std::string name, Tensor value,
 /// True if gradient should be accumulated into this parent.
 inline bool NeedsGrad(const VarPtr& p) { return p->requires_grad; }
 
-// Raw GEMM kernels on row-major buffers. No aliasing between out and inputs.
-// out is accumulated into (callers zero it first when needed).
+// Raw GEMM kernels on row-major buffers (gemm.cc, which states each one's
+// per-element numerics contract). No aliasing between out and inputs. out is
+// accumulated into (callers zero it first when needed).
 
 /// out[m,n] += a[m,k] @ b[k,n]
 void GemmNN(const float* a, const float* b, float* out, int64_t m, int64_t k,

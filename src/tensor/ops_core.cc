@@ -17,69 +17,6 @@ namespace autoac {
 using internal::MakeOp;
 using internal::NeedsGrad;
 
-namespace internal {
-
-// All three GEMMs are blocked over *output* rows: each ParallelFor chunk
-// owns a disjoint span of output rows and accumulates contributions in the
-// same order as the serial loop, so results are bitwise identical at every
-// thread count.
-
-void GemmNN(const float* a, const float* b, float* out, int64_t m, int64_t k,
-            int64_t n) {
-  ParallelFor(0, m, GrainForRows(k * n), [=](int64_t row_begin,
-                                             int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = a + i * k;
-      float* orow = out + i * n;
-      for (int64_t l = 0; l < k; ++l) {
-        float av = arow[l];
-        if (av == 0.0f) continue;
-        const float* brow = b + l * n;
-        for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
-void GemmNT(const float* a, const float* b, float* out, int64_t m, int64_t k,
-            int64_t n) {
-  ParallelFor(0, m, GrainForRows(k * n), [=](int64_t row_begin,
-                                             int64_t row_end) {
-    for (int64_t i = row_begin; i < row_end; ++i) {
-      const float* arow = a + i * k;
-      float* orow = out + i * n;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = b + j * k;
-        float acc = 0.0f;
-        for (int64_t l = 0; l < k; ++l) acc += arow[l] * brow[l];
-        orow[j] += acc;
-      }
-    }
-  });
-}
-
-void GemmTN(const float* a, const float* b, float* out, int64_t m, int64_t k,
-            int64_t n) {
-  // Output is [k, n]; the reduction runs over the m rows of a and b. Each
-  // chunk restricts the inner column walk to its own output-row span
-  // [i_begin, i_end), keeping the per-element accumulation order (ascending
-  // l) identical to the serial sweep.
-  ParallelFor(0, k, GrainForRows(m * n), [=](int64_t i_begin, int64_t i_end) {
-    for (int64_t l = 0; l < m; ++l) {
-      const float* arow = a + l * k;
-      const float* brow = b + l * n;
-      for (int64_t i = i_begin; i < i_end; ++i) {
-        float av = arow[i];
-        if (av == 0.0f) continue;
-        float* orow = out + i * n;
-        for (int64_t j = 0; j < n; ++j) orow[j] += av * brow[j];
-      }
-    }
-  });
-}
-
-}  // namespace internal
-
 VarPtr MatMul(const VarPtr& a, const VarPtr& b) {
   AUTOAC_CHECK_EQ(a->value.dim(), 2);
   AUTOAC_CHECK_EQ(b->value.dim(), 2);

@@ -74,7 +74,11 @@ class ThreadPool {
       current_job_ = job;
       ++generation_;
     }
-    wake_.notify_all();
+    // Wake only as many workers as the job wants. A worker that misses the
+    // wake-up (busy, or not yet waiting) still joins when it next checks the
+    // generation, and the caller works every chunk it reaches itself, so a
+    // job never depends on any particular worker joining.
+    for (int h = 0; h < helpers; ++h) wake_.notify_one();
 
     WorkOn(*job);  // The caller is a full participant.
 

@@ -163,6 +163,14 @@ std::map<std::string, std::string> ById(
   return by_id;
 }
 
+/// A request id: `prefix` followed by `i`. Built with append, because GCC 12
+/// at -O3 raises a false -Wrestrict on the inlined `"p" + std::to_string(i)`.
+std::string IdOf(const char* prefix, int i) {
+  std::string id(prefix);
+  id.append(std::to_string(i));
+  return id;
+}
+
 /// The exact response line `session` would produce for (id, node), latency
 /// stripped — the bitwise-identity reference for routing tests.
 std::string ExpectedLine(const InferenceSession& session,
@@ -1163,7 +1171,7 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
   auto before = ById(RecvLines(fd, kBefore));
   ASSERT_EQ(before.size(), static_cast<size_t>(kBefore));
   for (int i = 0; i < kBefore; ++i) {
-    std::string id = "a" + std::to_string(i);
+    std::string id = IdOf("a", i);
     EXPECT_EQ(before[id], ExpectedLine(reference_a, id, i % 3)) << id;
   }
 
@@ -1190,7 +1198,7 @@ TEST(InferenceServerTest, ReloadSwapsPredictionsWithoutDroppingInFlight) {
   ASSERT_EQ(during.size(), static_cast<size_t>(kBurst))
       << "requests were dropped across the reload";
   for (int i = 0; i < kBurst; ++i) {
-    std::string id = "p" + std::to_string(i);
+    std::string id = IdOf("p", i);
     std::string from_a = ExpectedLine(reference_a, id, i % 3);
     std::string from_b = ExpectedLine(reference_b, id, i % 3);
     EXPECT_TRUE(during[id] == from_a || during[id] == from_b)
@@ -1922,7 +1930,7 @@ TEST(InferenceServerTest, PipelinedRequestsOnOneConnectionAllAnswered) {
   ASSERT_EQ(lines.size(), static_cast<size_t>(kRequests));
   std::map<std::string, std::string> by_id = ById(lines);
   for (int i = 0; i < kRequests; ++i) {
-    std::string id = "r" + std::to_string(i);
+    std::string id = IdOf("r", i);
     EXPECT_EQ(by_id[id], ExpectedLine(reference, id, nodes[i])) << id;
   }
 
